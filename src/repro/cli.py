@@ -1188,9 +1188,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["batch", "scalar"],
         default=None,
         help=(
-            "cell evaluation path: 'batch' (default) pre-computes dispatch "
-            "chunks through the vectorized LE kernels, 'scalar' forces the "
-            "legacy per-cell path (A/B measurement; also REPRO_KERNELS)"
+            "cell evaluation path: 'batch' (default) runs the pruned "
+            "connectivity kernel and pre-computes dispatch chunks through the "
+            "vectorized LE kernels; 'scalar' forces the legacy unpruned "
+            "per-cell path, same outputs (A/B measurement; also REPRO_KERNELS)"
         ),
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="progress to stderr")

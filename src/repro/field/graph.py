@@ -18,12 +18,15 @@ versa, so coordination links are the *mutual* edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from ..radio import PropagationRealization
 from .beacons import BeaconField
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["beacon_graph", "deployment_health", "DeploymentHealth"]
 
@@ -49,6 +52,8 @@ def beacon_graph(
     hears = realization.connectivity(field.positions(), field)
     np.fill_diagonal(hears, False)
     ids = field.beacon_ids
+
+    import networkx as nx  # imported on use: sweep workers never need it
 
     graph = nx.Graph() if mutual else nx.DiGraph()
     for b in field:
@@ -114,6 +119,8 @@ def deployment_health(
     asymmetric = total_links - int(mutual.sum())
 
     graph = beacon_graph(field, realization, mutual=True)
+    import networkx as nx
+
     components = list(nx.connected_components(graph))
     largest = max((len(c) for c in components), default=0)
     isolated = tuple(sorted(node for node, deg in graph.degree() if deg == 0))

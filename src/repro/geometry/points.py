@@ -113,8 +113,12 @@ def pairwise_distances(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray
     """
     a = as_point_array(points_a)
     b = as_point_array(points_b)
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.einsum("pnk,pnk->pn", diff, diff))
+    # Separate ufuncs, not an einsum over a (P, N, 2) temporary: no fused
+    # multiply-add can enter, and the batched connectivity kernel uses the
+    # same split form, so both give every pair the same bits.
+    dx = a[:, None, 0] - b[None, :, 0]
+    dy = a[:, None, 1] - b[None, :, 1]
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def distances_to_point(points: np.ndarray, target) -> np.ndarray:

@@ -44,6 +44,8 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
+
 __all__ = [
     "Tracer",
     "NULL_TRACER",
@@ -141,6 +143,23 @@ def process_metadata() -> dict:
     return meta
 
 
+def _plain(value):
+    """``value`` with numpy scalars and arrays narrowed to Python values.
+
+    Sweep code hands the tracer whatever it iterates over — the paper's
+    default density sweep yields numpy ints — and the JSON encoder rejects
+    those, so attrs are canonicalized the way :func:`repro.sim.sweep_fingerprint`
+    canonicalizes its keys.
+    """
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    return value
+
+
 def span_record(name: str, seconds: float, **attrs) -> dict:
     """A complete span record for work measured in this process.
 
@@ -164,7 +183,7 @@ def span_record(name: str, seconds: float, **attrs) -> dict:
         if remote.get("parent"):
             record["parent"] = remote["parent"]
     if attrs:
-        record["attrs"] = attrs
+        record["attrs"] = _plain(attrs)
     return record
 
 
@@ -277,7 +296,7 @@ class Tracer:
 
     def span(self, name: str, **attrs) -> _Span:
         """A context manager tracing one named section."""
-        return _Span(self, name, attrs)
+        return _Span(self, name, _plain(attrs))
 
     def event(self, name: str, **attrs) -> None:
         """Record an instantaneous event."""
@@ -288,7 +307,7 @@ class Tracer:
                 "ts": time.time(),
                 "trace": self.trace_id,
                 **process_metadata(),
-                **({"attrs": attrs} if attrs else {}),
+                **({"attrs": _plain(attrs)} if attrs else {}),
             }
         )
 
@@ -311,7 +330,7 @@ class Tracer:
                 "span": new_trace_id(),
                 **self._parent_fields(stack),
                 **process_metadata(),
-                **({"attrs": attrs} if attrs else {}),
+                **({"attrs": _plain(attrs)} if attrs else {}),
             }
         )
 

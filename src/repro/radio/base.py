@@ -69,13 +69,23 @@ class PropagationRealization(ABC):
         """
 
     def connectivity(self, points, beacons) -> np.ndarray:
-        """Boolean connectivity matrix ``(P, N)`` (see class docstring)."""
-        _, positions = beacon_rows(beacons)
+        """Boolean connectivity matrix ``(P, N)`` (see class docstring).
+
+        The paper's beacon-noise model is answered by the pruned kernel in
+        :mod:`repro.radio.kernels`; other families compare distances
+        against their :meth:`effective_ranges`.
+        """
+        from .kernels import _realization_connectivity  # kernels imports this module
+
+        ids, positions = beacon_rows(beacons)
         pts = as_point_array(points)
         if positions.shape[0] == 0:
             return np.zeros((pts.shape[0], 0), dtype=bool)
-        dist = pairwise_distances(pts, positions)
-        return dist <= self.effective_ranges(pts, beacons)
+        conn = _realization_connectivity(self, ids, positions, pts)
+        if conn is None:
+            dist = pairwise_distances(pts, positions)
+            conn = dist <= self.effective_ranges(pts, beacons)
+        return conn
 
     def message_success_probability(self, points, beacons) -> np.ndarray:
         """Per-message delivery probability for each link, in ``[0, 1]``.

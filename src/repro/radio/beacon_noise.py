@@ -37,6 +37,23 @@ _NF_TAG = np.uint64(0xBEAC01)
 _U_TAG = np.uint64(0xBEAC02)
 
 
+def jittered_range(radio_range: float, u, nf, cm_thresh: float | None):
+    """``R(1 + u·nf)``, less the CM_thresh pull-in — elementwise, any shape.
+
+    §2.2 protocol semantics: a link counts as connected only when the
+    fraction of received periodic messages clears CM_thresh.  With
+    per-message symmetric jitter of amplitude nf(B)·R around the static
+    range, the success fraction at margin m is (1 + m/(nf·R))/2, so the
+    threshold pulls the connectivity boundary inward by
+    (2·CM_thresh − 1)·nf(B)·R.  Every connectivity path evaluates ranges
+    through this one expression, which is what makes them bit-identical.
+    """
+    ranges = radio_range * (1.0 + u * nf)
+    if cm_thresh is not None:
+        ranges = ranges - (2.0 * cm_thresh - 1.0) * nf * radio_range
+    return ranges
+
+
 class BeaconNoiseRealization(PropagationRealization):
     """One static noise field drawn from :class:`BeaconNoiseModel`."""
 
@@ -100,16 +117,9 @@ class BeaconNoiseRealization(PropagationRealization):
         if nf.shape[0] == 0:
             pts = as_point_array(points)
             return np.zeros((pts.shape[0], 0))
-        ranges = self._radio_range * (1.0 + self.pair_u(points, beacons) * nf[None, :])
-        if self._cm_thresh is not None:
-            # §2.2 protocol semantics: a link counts as connected only when
-            # the fraction of received periodic messages clears CM_thresh.
-            # With per-message symmetric jitter of amplitude nf(B)·R around
-            # the static range, the success fraction at margin m is
-            # (1 + m/(nf·R))/2, so the threshold pulls the connectivity
-            # boundary inward by (2·CM_thresh − 1)·nf(B)·R.
-            ranges = ranges - (2.0 * self._cm_thresh - 1.0) * nf[None, :] * self._radio_range
-        return ranges
+        return jittered_range(
+            self._radio_range, self.pair_u(points, beacons), nf[None, :], self._cm_thresh
+        )
 
 
 class BeaconNoiseModel(PropagationModel):

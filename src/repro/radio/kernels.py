@@ -1,34 +1,58 @@
-"""Batched connectivity kernels: many realizations in one array pass.
+"""Connectivity kernels for the paper's beacon-noise model: the one implementation.
 
-The per-cell hot path of every sweep evaluates one ``(P × N)`` connectivity
-matrix per trial — dozens of small NumPy calls whose fixed per-call overhead
-dominates at bench geometry (169 lattice points × 8 beacons is ~1300
-elements per call).  These kernels evaluate the same quantities for a whole
-*stack* of trials at once: one ``(T × P × N)`` pass through the hash-keyed
-noise of :mod:`repro.radio.hashrand` instead of ``T`` Python round-trips.
+Every connectivity question asked of a
+:class:`~repro.radio.BeaconNoiseRealization` is answered here: the
+per-world ``(P × N)`` matrix (:meth:`PropagationRealization.connectivity
+<repro.radio.PropagationRealization.connectivity>` routes to this module),
+candidate columns, and the stacked ``(T × P × N)`` pass that
+:func:`repro.sim.warm_worlds` makes for a chunk of trials
+(:func:`batched_connectivity`).  Three steps keep the pass cheap:
+
+1. **Split-form distances.**  ``sqrt(dx·dx + dy·dy)`` from two ``(T, P, N)``
+   coordinate-difference arrays, the same formula as
+   :func:`repro.geometry.pairwise_distances`, with no ``(T, P, N, 2)``
+   temporary.
+2. **Noise = 0 is the ideal disk.**  ``nf ≡ 0`` makes every effective range
+   exactly ``R``, so the answer is ``dist <= R`` and nothing is hashed.
+3. **Hash only the undecided band.**  The effective range
+   ``R(1 + u·nf) − (2c − 1)·nf·R`` with ``u ∈ [−1, 1]``, ``nf ∈ [0, Noise]``
+   and ``c`` = CM_thresh (the correction is absent without a threshold,
+   which reads as ``c = 1/2``) always lies in
+   ``[R(1 − 2c·Noise), R(1 + (2 − 2c)·Noise)]`` — the connectivity-region
+   annulus of Zhang & Herman's *Localization in Wireless Sensor Grids*.
+   A pair closer than the band is connected whatever ``u`` is; a pair
+   beyond it never is.  The band is widened by :data:`_BAND_MARGIN` ``· R``
+   on each side, far above the few-ulp rounding of the range arithmetic,
+   and only the pairs inside it have ``u`` hashed and their range computed.
 
 Bit-identity contract
 ---------------------
-Every operation here is elementwise over the broadcast ``(T, P, N)`` shape —
-hashing, range arithmetic, distance (a two-term ``x² + y²`` sum), and the
-final comparison.  IEEE-754 elementwise operations are deterministic per
-element regardless of the array shape they are computed in, so each trial's
-slice ``out[t]`` is **bit-identical** to what
-:meth:`repro.radio.BeaconNoiseRealization.connectivity` computes for that
-trial alone.  Reductions whose summation *order* could differ between the
-batched and scalar shapes (mat-vecs, means) are deliberately NOT performed
-here — :mod:`repro.sim.kernels` runs those per-trial with the exact scalar
-call.  This contract is enforced by ``tests/test_sim_kernels.py``.
+``nf`` and ``u`` are counter hashes of ``(seed, id[, qx, qy])`` and the range
+arithmetic (:func:`repro.radio.beacon_noise.jittered_range`) is elementwise,
+so evaluating them on any subset of pairs — or on a whole ``(T, P, N)``
+stack — gives each pair the bits the unpruned per-world path gives it.
+Pairs decided by the band bound get the comparison's own answer, because
+the bound holds with margin to spare.  Reductions whose summation *order*
+could differ between shapes (mat-vecs, means) are deliberately NOT
+performed here — :mod:`repro.sim.kernels` runs those per trial with the
+exact scalar call.  ``tests/test_sim_kernels.py`` enforces the contract
+against the unpruned path.
 
-All kernels are pure functions of their arguments; blocking over trials for
-memory is the caller's concern.
+Kernel mode
+-----------
+``REPRO_KERNELS=scalar`` (or :func:`set_kernel_mode`) selects the legacy
+unpruned path: every pair's range is hashed and compared, at every noise
+level, and sweep chunks are not batch-planned.  It exists as the A/B
+denominator and as the test oracle; outputs are identical in both modes.
 """
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
-from .beacon_noise import _NF_TAG, _U_TAG, BeaconNoiseRealization
+from .beacon_noise import _NF_TAG, _U_TAG, BeaconNoiseRealization, jittered_range
 from .hashrand import hash_symmetric, hash_uniform, quantize_coords
 
 __all__ = [
@@ -36,7 +60,38 @@ __all__ = [
     "batch_params_from_realization",
     "batched_effective_ranges",
     "batched_connectivity",
+    "kernel_mode",
+    "set_kernel_mode",
 ]
+
+#: Relative widening of the undecided band on each side (in units of R).
+#: The range arithmetic rounds at the 1e-16·R level; this keeps every
+#: bound-decided pair decided the way the full comparison would.
+_BAND_MARGIN = 1e-9
+
+_VALID_MODES = ("batch", "scalar")
+_mode = os.environ.get("REPRO_KERNELS", "batch")
+if _mode not in _VALID_MODES:
+    _mode = "batch"
+
+
+def kernel_mode() -> str:
+    """The active kernel mode: ``"batch"`` (default) or ``"scalar"``."""
+    return _mode
+
+
+def set_kernel_mode(mode: str) -> None:
+    """Select the kernel mode (propagated to workers via dispatch payloads).
+
+    Args:
+        mode: ``"batch"`` — pruned kernels, and sweep chunks pre-warm world
+            caches in stacked passes; ``"scalar"`` — the legacy unpruned
+            per-cell path (A/B measurement and test oracle).
+    """
+    global _mode
+    if mode not in _VALID_MODES:
+        raise ValueError(f"kernel mode must be one of {_VALID_MODES}, got {mode!r}")
+    _mode = mode
 
 
 class BatchNoiseParams:
@@ -72,7 +127,7 @@ def batch_params_from_realization(
 ) -> BatchNoiseParams | None:
     """Extract batchable parameters, or ``None`` if the realization's
     connectivity cannot be expressed by these kernels (other model families
-    fall back to the scalar path)."""
+    compare distances against their own ``effective_ranges``)."""
     if type(realization) is not BeaconNoiseRealization:
         return None
     return BatchNoiseParams(
@@ -91,6 +146,8 @@ def batched_effective_ranges(
 ) -> np.ndarray:
     """Effective ranges for ``T`` realizations at once, ``(T, P, N)``.
 
+    The unpruned reference: every pair is hashed, at every noise level.
+
     Args:
         params: the shared model parameters.
         seeds: ``(T,)`` uint64 realization seeds.
@@ -107,17 +164,12 @@ def batched_effective_ranges(
         raise ValueError(
             f"expected seeds (T,) and ids (T, N), got {seeds.shape} / {ids.shape}"
         )
-    shape = (seeds.shape[0], np.asarray(points).shape[0], ids.shape[1])
-    if params.noise == 0.0:
-        # Ideal-disk degenerate case: nf ≡ +0.0, so u·nf is a signed zero,
-        # 1 + 0 is exactly 1.0 and the CM correction is exactly 0.0 — the
-        # scalar path yields R in every element.  Skip the hashing.
-        return np.full(shape, params.radio_range)
+    pts = np.asarray(points, dtype=float)
     nf = params.noise * hash_uniform(seeds[:, None], ids, _NF_TAG)  # (T, N)
     if params.u_granularity == "beacon":
         u = hash_symmetric(seeds[:, None], ids, _U_TAG)[:, None, :]  # (T, 1, N)
     else:
-        qx, qy = quantize_coords(points)
+        qx, qy = quantize_coords(pts)
         u = hash_symmetric(
             seeds[:, None, None],
             ids[:, None, :],
@@ -125,13 +177,72 @@ def batched_effective_ranges(
             qx[None, :, None],
             qy[None, :, None],
         )  # (T, P, N)
-    ranges = params.radio_range * (1.0 + u * nf[:, None, :])
-    if params.cm_thresh is not None:
-        ranges = ranges - (
-            (2.0 * params.cm_thresh - 1.0) * nf[:, None, :] * params.radio_range
-        )
-    return np.ascontiguousarray(np.broadcast_to(ranges, (seeds.shape[0],) + (
-        np.asarray(points).shape[0], ids.shape[1])))
+    ranges = jittered_range(params.radio_range, u, nf[:, None, :], params.cm_thresh)
+    return np.ascontiguousarray(
+        np.broadcast_to(ranges, (seeds.shape[0], pts.shape[0], ids.shape[1]))
+    )
+
+
+def _undecided_band(params: BatchNoiseParams) -> tuple[float, float]:
+    """``(lo, hi)``: distances outside this closed interval are decided by
+    the bound alone (connected below ``lo``, disconnected above ``hi``).
+
+    Parameters outside the model's domain (negative or non-finite noise or
+    range) get the whole line, so every pair takes the full comparison.
+    """
+    noise, radio_range = params.noise, params.radio_range
+    if not (0.0 < noise < np.inf and 0.0 < radio_range < np.inf):
+        return -np.inf, np.inf
+    c = 0.5 if params.cm_thresh is None else float(params.cm_thresh)
+    margin = _BAND_MARGIN * radio_range
+    return (
+        radio_range * (1.0 - 2.0 * c * noise) - margin,
+        radio_range * (1.0 + (2.0 - 2.0 * c) * noise) + margin,
+    )
+
+
+def _split_distances(points: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """``(T, P, N)`` distances ``sqrt(dx·dx + dy·dy)``, computed in place."""
+    dx = points[None, :, None, 0] - positions[:, None, :, 0]
+    dy = points[None, :, None, 1] - positions[:, None, :, 1]
+    np.multiply(dx, dx, out=dx)
+    np.multiply(dy, dy, out=dy)
+    np.add(dx, dy, out=dx)
+    return np.sqrt(dx, out=dx)
+
+
+def _connectivity(params, seeds, ids, positions, points) -> np.ndarray:
+    """The kernel behind every entry point: ``(T, P, N)`` bool, N ≥ 1."""
+    dist = _split_distances(points, positions)
+    if _mode == "scalar":
+        return dist <= batched_effective_ranges(params, seeds, ids, points)
+    if params.noise == 0.0:
+        return dist <= params.radio_range
+    lo, hi = _undecided_band(params)
+    conn = dist < lo
+    t, p, n = np.nonzero((dist >= lo) & (dist <= hi))
+    if t.size == 0:
+        return conn
+    nf = params.noise * hash_uniform(seeds[:, None], ids, _NF_TAG)  # (T, N)
+    if params.u_granularity == "beacon":
+        u = hash_symmetric(seeds[:, None], ids, _U_TAG)[t, n]
+    else:
+        qx, qy = quantize_coords(points)
+        u = hash_symmetric(seeds[t], ids[t, n], _U_TAG, qx[p], qy[p])
+    ranges = jittered_range(params.radio_range, u, nf[t, n], params.cm_thresh)
+    conn[t, p, n] = dist[t, p, n] <= ranges
+    return conn
+
+
+def _realization_connectivity(realization, ids, positions, points) -> np.ndarray | None:
+    """One world's ``(P, N)`` matrix, or ``None`` for model families the
+    kernel does not cover (the caller then compares against their
+    ``effective_ranges``).  ``N`` must be at least 1."""
+    params = batch_params_from_realization(realization)
+    if params is None:
+        return None
+    seeds = np.array([realization.seed], dtype=np.uint64)
+    return _connectivity(params, seeds, ids[None, :], positions[None, :, :], points)[0]
 
 
 def batched_connectivity(
@@ -160,13 +271,6 @@ def batched_connectivity(
         raise ValueError(f"expected (T, N, 2) positions, got {pos.shape}")
     if pos.shape[1] == 0:
         return np.zeros((pos.shape[0], pts.shape[0], 0), dtype=bool)
-    # Same two-term distance the scalar path computes (pairwise_distances):
-    # sqrt(dx² + dy²) — an order-fixed reduction, identical per element.
-    diff = pts[None, :, None, :] - pos[:, None, :, :]  # (T, P, N, 2)
-    dist = np.sqrt(np.einsum("tpnk,tpnk->tpn", diff, diff))
-    if params.noise == 0.0:
-        # Every effective range is exactly R (see batched_effective_ranges);
-        # compare against the scalar instead of materializing (T, P, N).
-        return np.ascontiguousarray(dist <= params.radio_range)
-    ranges = batched_effective_ranges(params, seeds, ids, pts)
-    return np.ascontiguousarray(dist <= ranges)
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    ids = np.asarray(ids, dtype=np.uint64)
+    return _connectivity(params, seeds, ids, pos, pts)

@@ -25,7 +25,6 @@ in the link margin rather than a hard step.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtr
 
 from ..geometry import as_point_array, pairwise_distances
 from .base import PropagationModel, PropagationRealization, beacon_rows
@@ -90,6 +89,8 @@ class LogNormalShadowingRealization(PropagationRealization):
         margin = self.link_margin_db(points, beacons)
         if self._fast_db <= 0.0:
             return (margin >= 0.0).astype(float)
+        from scipy.special import ndtr  # imported on use, like scipy.stats
+
         return ndtr(margin / self._fast_db)
 
 

@@ -25,14 +25,14 @@ masks and NaN-degraded cells.
 
 Worlds the kernels cannot express (non-centroid localizers, exotic
 propagation models) are silently left cold — downstream code computes them
-through the unchanged scalar path, so batching is never a correctness
-decision.  ``REPRO_KERNELS=scalar`` (or :func:`set_kernel_mode`) disables
-batching globally for A/B measurement.
+through the per-world path, so batching is never a correctness decision.
+Per-world and stacked connectivity run the same pruned kernel
+(:mod:`repro.radio.kernels`, which owns the kernel mode re-exported here):
+``REPRO_KERNELS=scalar`` (or :func:`set_kernel_mode`) selects its legacy
+unpruned path and disables chunk batching, for A/B measurement.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -45,7 +45,12 @@ from ..localization import (
     apply_unlocalized_policy,
 )
 from ..obs import get_metrics, get_profile
-from ..radio.kernels import batch_params_from_realization, batched_connectivity
+from ..radio.kernels import (
+    batch_params_from_realization,
+    batched_connectivity,
+    kernel_mode,
+    set_kernel_mode,
+)
 from .trial import TrialWorld
 
 __all__ = [
@@ -63,29 +68,6 @@ __all__ = [
 #: thousands.
 DEFAULT_BLOCK_ELEMENTS = 4_000_000
 
-_VALID_MODES = ("batch", "scalar")
-_mode = os.environ.get("REPRO_KERNELS", "batch")
-if _mode not in _VALID_MODES:
-    _mode = "batch"
-
-
-def kernel_mode() -> str:
-    """The active kernel mode: ``"batch"`` (default) or ``"scalar"``."""
-    return _mode
-
-
-def set_kernel_mode(mode: str) -> None:
-    """Select the kernel mode (propagated to workers via dispatch payloads).
-
-    Args:
-        mode: ``"batch"`` — vectorized kernels pre-warm world caches;
-            ``"scalar"`` — every cell runs the legacy per-world path.
-    """
-    global _mode
-    if mode not in _VALID_MODES:
-        raise ValueError(f"kernel mode must be one of {_VALID_MODES}, got {mode!r}")
-    _mode = mode
-
 
 def candidate_columns(realization, points, beacon_id, positions) -> np.ndarray:
     """``(P, K)`` connectivity columns of ``K`` candidate beacons, one pass.
@@ -97,16 +79,14 @@ def candidate_columns(realization, points, beacon_id, positions) -> np.ndarray:
     ``(seed, id)`` hash enters the per-link noise, never id uniqueness.
 
     Batchable realizations run one ``(1, P, K)`` kernel pass; other model
-    families (and ``REPRO_KERNELS=scalar``) take the scalar call, which
-    produces the identical bytes — the mode is a perf toggle, not a
-    correctness decision.  This is the survey-scan primitive behind
-    :meth:`repro.sim.incremental.FieldState.scan_add_candidates`.
+    families take the per-world call.  This is the survey-scan primitive
+    behind :meth:`repro.sim.incremental.FieldState.scan_add_candidates`.
     """
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 2 or pos.shape[1] != 2:
         raise ValueError(f"expected (K, 2) candidate positions, got {pos.shape}")
     params = batch_params_from_realization(realization)
-    if params is None or kernel_mode() == "scalar":
+    if params is None:
         probes = [
             Beacon(int(beacon_id), Point(float(x), float(y))) for x, y in pos
         ]

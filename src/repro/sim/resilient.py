@@ -314,6 +314,18 @@ class SweepJournal:
         self.close()
 
 
+def _heaviest_first(counts) -> list:
+    """Beacon counts in dispatch order: largest first.
+
+    A cell's cost grows with its beacon count, so dispatching the heaviest
+    cells first leaves a pool's cheapest chunks for last and its workers
+    finish together, instead of one worker idling while the other runs the
+    last heavy chunk.  Results are keyed by cell, so order never reaches
+    the curves.
+    """
+    return sorted(counts, reverse=True)
+
+
 def run_cells(
     jobs: Sequence[tuple],
     fn: Callable,
@@ -613,7 +625,7 @@ def resilient_mean_error_curve(
     journal = _open_journal(journal_path, fingerprint)
     jobs = [
         ((noise, count, index), (config, noise, count, index, faults, fault_time))
-        for count in config.beacon_counts
+        for count in _heaviest_first(config.beacon_counts)
         for index in range(config.fields_per_density)
     ]
     shared = None
@@ -694,7 +706,7 @@ def resilient_placement_improvement_curves(
             (noise, count, index),
             (config, noise, count, index, faults, fault_time, tuple(algorithms)),
         )
-        for count in config.beacon_counts
+        for count in _heaviest_first(config.beacon_counts)
         for index in range(config.fields_per_density)
     ]
     shared = None

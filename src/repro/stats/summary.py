@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = ["MeanCI", "mean_ci", "median_ci"]
 
@@ -60,6 +59,11 @@ def mean_ci(samples, confidence: float = 0.95) -> MeanCI:
     if x.size == 1:
         return MeanCI(mean, 0.0, 1, confidence)
     sem = float(x.std(ddof=1)) / np.sqrt(x.size)
+    # scipy.stats is imported here, not at module level: it is most of the
+    # package's import time, which every spawned sweep worker would pay for
+    # cells that never compute an interval.
+    from scipy import stats as sps
+
     t_crit = float(sps.t.ppf(0.5 + confidence / 2.0, df=x.size - 1))
     return MeanCI(mean, t_crit * sem, int(x.size), confidence)
 
@@ -82,6 +86,8 @@ def median_ci(samples, confidence: float = 0.95) -> MeanCI:
     if n < 3:
         half = float(x.max() - x.min()) / 2.0
         return MeanCI(med, half, n, confidence)
+    from scipy import stats as sps
+
     lo_idx = int(sps.binom.ppf((1.0 - confidence) / 2.0, n, 0.5))
     hi_idx = int(sps.binom.isf((1.0 - confidence) / 2.0, n, 0.5))
     lo_idx = max(min(lo_idx, n - 1), 0)

@@ -336,6 +336,38 @@ class TestTracer:
         _, records = read_trace(path)
         assert [r["name"] for r in records] == ["first", "second"]
 
+    def test_numpy_attrs_written_as_plain_json(self, tmp_path):
+        """The paper's default density sweep counts in numpy ints; a traced
+        sweep over such counts must write them, not crash the encoder."""
+        import numpy as np
+
+        from repro.sim import ExperimentConfig
+
+        config = ExperimentConfig(
+            side=30.0,
+            radio_range=10.0,
+            step=5.0,
+            num_grids=16,
+            beacon_counts=tuple(np.arange(4, 12, 4)),
+            noise_levels=(0.0,),
+            fields_per_density=1,
+            seed=3,
+        )
+        assert isinstance(config.beacon_counts[0], np.integer)
+        path = tmp_path / "trace.jsonl"
+        tracer = enable_tracing(path)
+        mean_error_curve(config, 0.0)
+        tracer.event("tick", n=np.int64(3), flags=np.array([True, False]))
+        tracer.record_span("remote", 0.5, key=(np.float32(0.5), np.int32(8)))
+        disable_tracing()
+
+        _, records = read_trace(path)
+        cells = [r["attrs"] for r in records if r["name"] == "sweep.cell"]
+        assert [c["count"] for c in cells] == [4, 8]
+        assert all(type(c["count"]) is int for c in cells)
+        assert records[-2]["attrs"] == {"n": 3, "flags": [True, False]}
+        assert records[-1]["attrs"] == {"key": [0.5, 8]}
+
     def test_error_span_tagged(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         tracer = enable_tracing(path)

@@ -4,6 +4,8 @@ protocol, per-worker world caching and journal merging."""
 import os
 import socket as socket_mod
 import struct
+import subprocess
+import sys
 import threading
 import time
 
@@ -367,6 +369,61 @@ class TestPoolChunking:
         with PoolExecutor(workers=2, chunk=1) as per_cell:
             fine = run_cells(jobs, _double, executor=per_cell)
         assert coarse == fine == {(i,): i * 2 for i in range(7)}
+
+
+class _RecordingSerial(SerialExecutor):
+    """A serial executor that records the order cells are handed to it."""
+
+    def __init__(self):
+        self.keys = []
+
+    def execute(self, pending, fn, **kwargs):
+        pending = list(pending)
+        self.keys.extend(key for key, _ in pending)
+        super().execute(pending, fn, **kwargs)
+
+
+class TestDispatchOrder:
+    """Resilient sweeps hand cells out heaviest (largest count) first, so a
+    pool's last chunks are its cheapest; the curves keep the config order."""
+
+    def test_mean_error_curve_dispatches_largest_count_first(self, tiny_config):
+        recorder = _RecordingSerial()
+        curve = resilient_mean_error_curve(tiny_config, 0.3, executor=recorder)
+        counts = [key[1] for key in recorder.keys]
+        assert counts == sorted(counts, reverse=True)
+        assert set(counts) == set(tiny_config.beacon_counts)
+        assert curve.counts == tuple(tiny_config.beacon_counts)
+        assert curve.values == resilient_mean_error_curve(tiny_config, 0.3).values
+
+    def test_improvement_curves_dispatch_largest_count_first(self, tiny_config):
+        recorder = _RecordingSerial()
+        config = tiny_config.with_counts([8, 20])
+        resilient_placement_improvement_curves(
+            config, 0.0, [RandomPlacement()], executor=recorder
+        )
+        counts = [key[1] for key in recorder.keys]
+        assert counts == [20] * config.fields_per_density + [8] * config.fields_per_density
+
+
+class TestWorkerImports:
+    def test_sweep_import_leaves_heavy_dependencies_unloaded(self):
+        # Every spawned pool worker re-imports the package; scipy.stats,
+        # scipy.special and networkx are loaded only by the functions that
+        # use them, never by a sweep cell.
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = (
+            "import sys, repro, repro.sim, repro.sim.resilient; "
+            "print(','.join(m for m in ('scipy.stats', 'scipy.special', 'networkx') "
+            "if m in sys.modules))"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == ""
 
 
 # -- Socket backend ----------------------------------------------------------

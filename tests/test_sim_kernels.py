@@ -5,8 +5,11 @@ invariant of :mod:`repro.sim.kernels` — these tests enforce it down to the
 byte across localizer policies, noise levels, empty fields, fault-degraded
 worlds and all-NaN cells, plus the numerical facts the kernels rely on
 (stacked mat-muls and row-wise nan-reductions matching their per-slice
-forms).  The shared-memory world state (:mod:`repro.sim.executors.shm`) is
-covered for bit-identical cache pre-seeding and segment lifecycle.
+forms).  The pruned connectivity kernel (:mod:`repro.radio.kernels`) is
+compared with the unpruned oracle on band-edge points, every noise reading
+and stacks, and its hash calls are counted.  The shared-memory world state
+(:mod:`repro.sim.executors.shm`) is covered for bit-identical cache
+pre-seeding and segment lifecycle.
 """
 
 from __future__ import annotations
@@ -19,13 +22,19 @@ import pytest
 
 from repro import CentroidLocalizer, ExperimentConfig, UnlocalizedPolicy
 from repro.faults import CrashFault
+from repro.field import Beacon, BeaconField
+from repro.geometry import Point, pairwise_distances
 from repro.obs import MetricsRegistry, disable_metrics, enable_metrics
 from repro.placement import MaxPlacement, RandomPlacement
+from repro.radio import BeaconNoiseRealization, beacon_rows
+from repro.radio import kernels as radio_kernels
+from repro.radio.beacon_noise import jittered_range
 from repro.sim import (
     PoolExecutor,
     batch_surface_stats,
     build_world,
     kernel_mode,
+    paper_config,
     resilient_mean_error_curve,
     resilient_placement_improvement_curves,
     set_kernel_mode,
@@ -41,6 +50,7 @@ from repro.sim.executors.base import (
     run_one_cell,
 )
 from repro.sim.executors.cache import _MAX_ENTRIES, _grids, cached_grid
+from repro.sim.kernels import candidate_columns
 
 SIDE = 30.0
 RANGE = 10.0
@@ -114,6 +124,211 @@ class TestStackedReductionIdentity:
         for t in range(6):
             assert_bits_equal(means[t], np.nanmean(stacked[t]))
             assert_bits_equal(medians[t], np.nanmedian(stacked[t]))
+
+
+class TestSplitFormDistances:
+    def test_split_form_matches_einsum_on_paper_fields(self):
+        """``pairwise_distances`` and the kernel's stacked distances use
+        ``sqrt(dx·dx + dy·dy)``; pinned bit-identical to the einsum form
+        they replaced over 50 paper-shape fields."""
+        config = paper_config()
+        counts = config.beacon_counts
+        points = build_world(config, 0.0, counts[0], 0).points()
+        for index in range(50):
+            count = counts[index % len(counts)]
+            positions = build_world(config, 0.0, count, index).field.positions()
+            diff = points[:, None, :] - positions[None, :, :]
+            einsum = np.sqrt(np.einsum("pnk,pnk->pn", diff, diff))
+            split = pairwise_distances(points, positions)
+            assert_bits_equal(split, einsum)
+            stacked = radio_kernels._split_distances(points, positions[None])
+            assert_bits_equal(stacked[0], split)
+
+
+# -- The pruned connectivity kernel vs the unpruned oracle --------------------
+
+
+def _oracle(realization, points, beacons):
+    """The legacy per-world formula: every pair hashed and compared."""
+    _, positions = beacon_rows(beacons)
+    ranges = realization.effective_ranges(points, beacons)
+    return pairwise_distances(points, positions) <= ranges
+
+
+def _scalar_mode(call):
+    set_kernel_mode("scalar")
+    try:
+        return call()
+    finally:
+        set_kernel_mode("batch")
+
+
+def _edge_points(noise, cm_thresh):
+    """Points at distances exactly ``lo`` and ``hi`` from a beacon at the
+    origin (the band with and without its float margin), exactly R, one ulp
+    either side of each, plus a scatter of off-lattice points."""
+    c = 0.5 if cm_thresh is None else cm_thresh
+    radii = [
+        RANGE * (1.0 - 2.0 * c * noise),
+        RANGE * (1.0 + (2.0 - 2.0 * c) * noise),
+        RANGE,
+    ]
+    params = radio_kernels.BatchNoiseParams(RANGE, noise, cm_thresh, "pair")
+    radii += [r for r in radio_kernels._undecided_band(params) if np.isfinite(r)]
+    radii += [np.nextafter(r, d) for r in radii for d in (-np.inf, np.inf)]
+    radii = [r for r in radii if r > 0]
+    on_axes = [(r, 0.0) for r in radii] + [(0.0, r) for r in radii]
+    scatter = np.random.default_rng(11).uniform(-20.0, 50.0, (2000, 2))
+    return np.vstack([np.array(on_axes), scatter])
+
+
+class TestPrunedKernel:
+    @pytest.mark.parametrize("granularity", ["pair", "beacon"])
+    @pytest.mark.parametrize("cm_thresh", [None, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("noise", [0.0, -0.0, 0.1, 0.9])
+    def test_matches_unpruned_oracle(self, noise, cm_thresh, granularity):
+        seeds = [3, 17, 2024]
+        fields = [
+            BeaconField.from_positions([(0.0, 0.0), (12.5, 7.25), (30.0, 0.0)]),
+            BeaconField.from_positions([(0.0, 0.0), (1.0, 1.0), (33.3, 21.7)]),
+            BeaconField.from_positions([(19.0, 0.0), (0.0, 0.0), (8.0, 8.0)]),
+        ]
+        points = _edge_points(noise, cm_thresh)
+        stacked_pos, stacked_ids, stacked_seeds, per_world = [], [], [], []
+        for seed, field in zip(seeds, fields):
+            realization = BeaconNoiseRealization(
+                RANGE, noise, seed, granularity, cm_thresh
+            )
+            expected = _oracle(realization, points, field)
+            assert_bits_equal(realization.connectivity(points, field), expected)
+            assert_bits_equal(
+                _scalar_mode(lambda: realization.connectivity(points, field)), expected
+            )
+            stacked_pos.append(field.positions())
+            stacked_ids.append(np.asarray(field.beacon_ids, dtype=np.uint64))
+            stacked_seeds.append(realization.seed)
+            per_world.append(expected)
+        params = radio_kernels.BatchNoiseParams(RANGE, noise, cm_thresh, granularity)
+        args = (
+            params,
+            np.array(stacked_seeds, dtype=np.uint64),
+            np.stack(stacked_ids),
+            np.stack(stacked_pos),
+            points,
+        )
+        stacked = radio_kernels.batched_connectivity(*args)
+        assert stacked.flags.c_contiguous
+        assert_bits_equal(stacked, np.stack(per_world))
+        unpruned = _scalar_mode(lambda: radio_kernels.batched_connectivity(*args))
+        assert_bits_equal(unpruned, stacked)
+
+    @pytest.mark.parametrize("cm_thresh", [None, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("noise", [0.1, 0.9])
+    def test_band_holds_every_reachable_range(self, noise, cm_thresh):
+        """The range is bilinear in ``u ∈ [−1, 1]`` and ``nf ∈ [0, Noise]``,
+        so its corners are its extremes: they must sit inside the widened
+        band, and within the margin of its edges (the band is tight)."""
+        params = radio_kernels.BatchNoiseParams(RANGE, noise, cm_thresh, "pair")
+        lo, hi = radio_kernels._undecided_band(params)
+        u = np.array([-1.0, 1.0])[:, None]
+        nf = np.array([0.0, noise])[None, :]
+        corners = jittered_range(RANGE, u, nf, cm_thresh)
+        margin = 2.0 * radio_kernels._BAND_MARGIN * RANGE
+        assert lo < corners.min() <= lo + margin
+        assert hi - margin <= corners.max() < hi
+
+    @pytest.mark.parametrize("cm_thresh", [None, 0.9])
+    def test_point_exactly_at_the_effective_range(self, cm_thresh):
+        """Per-beacon u gives one range for every point, so a point can sit
+        exactly on it: connected, as the oracle's ``<=`` says."""
+        field = BeaconField.from_positions([(0.0, 0.0)])
+        realization = BeaconNoiseRealization(RANGE, 0.5, 8, "beacon", cm_thresh)
+        r = realization.effective_ranges(np.zeros((1, 2)), field)[0, 0]
+        points = np.array([[r, 0.0], [0.0, r], [np.nextafter(r, np.inf), 0.0]])
+        conn = realization.connectivity(points, field)
+        assert conn[:, 0].tolist() == [True, True, False]
+        assert_bits_equal(conn, _oracle(realization, points, field))
+
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    def test_empty_fields(self, noise):
+        realization = BeaconNoiseRealization(RANGE, noise, 5)
+        points = np.array([[0.5, 0.25], [10.0, 3.0]])
+        conn = realization.connectivity(points, BeaconField.from_positions([]))
+        assert conn.shape == (2, 0) and conn.dtype == bool
+        params = radio_kernels.batch_params_from_realization(realization)
+        stacked = radio_kernels.batched_connectivity(
+            params,
+            np.array([5, 6], dtype=np.uint64),
+            np.zeros((2, 0), dtype=np.uint64),
+            np.zeros((2, 0, 2)),
+            points,
+        )
+        assert stacked.shape == (2, 2, 0)
+
+    def test_sweep_worlds_and_candidate_columns_match_oracle(self):
+        config = tiny_config()
+        for noise in config.noise_levels:
+            for count in config.beacon_counts:
+                world = build_world(config, noise, count, 1)
+                points = world.points()
+                expected = _oracle(world.realization, points, world.field)
+                assert_bits_equal(world.connectivity(), expected)
+                probes = points[::3] + 0.37
+                columns = candidate_columns(world.realization, points, 99, probes)
+                beacons = [Beacon(99, Point(x, y)) for x, y in probes]
+                assert_bits_equal(columns, _oracle(world.realization, points, beacons))
+
+
+class _HashCounter:
+    """Counts the elements each hash function of the kernel module returns."""
+
+    def __init__(self, monkeypatch):
+        self.counts = {"hash_symmetric": 0, "hash_uniform": 0}
+        for name in self.counts:
+            original = getattr(radio_kernels, name)
+            monkeypatch.setattr(radio_kernels, name, self._wrap(name, original))
+
+    def _wrap(self, name, original):
+        def counted(*keys):
+            out = original(*keys)
+            self.counts[name] += int(np.size(out))
+            return out
+
+        return counted
+
+
+class TestPrunedKernelHashCounts:
+    def test_no_hashing_at_noise_zero(self, monkeypatch):
+        counter = _HashCounter(monkeypatch)
+        world = build_world(tiny_config(), 0.0, 8, 0)
+        world.connectivity()
+        warm_worlds([build_world(tiny_config(), 0.0, 8, 1)])
+        candidate_columns(world.realization, world.points(), 50, world.points()[::2])
+        assert counter.counts == {"hash_symmetric": 0, "hash_uniform": 0}
+
+    @pytest.mark.parametrize("cm_thresh", [None, 0.9])
+    def test_hashed_pairs_equal_in_band_pairs(self, monkeypatch, cm_thresh):
+        counter = _HashCounter(monkeypatch)
+        config = tiny_config()
+        field = build_world(config, 0.3, 8, 0).field
+        realization = BeaconNoiseRealization(RANGE, 0.3, 41, "pair", cm_thresh)
+        points = build_world(config, 0.3, 8, 0).points()
+        conn = realization.connectivity(points, field)
+        lo, hi = radio_kernels._undecided_band(
+            radio_kernels.batch_params_from_realization(realization)
+        )
+        dist = pairwise_distances(points, field.positions())
+        in_band = int(np.count_nonzero((dist >= lo) & (dist <= hi)))
+        assert 0 < in_band < dist.size
+        assert counter.counts["hash_symmetric"] == in_band
+        assert counter.counts["hash_uniform"] == len(field)
+        assert_bits_equal(conn, _oracle(realization, points, field))
+
+    def test_scalar_mode_hashes_every_pair(self, monkeypatch):
+        counter = _HashCounter(monkeypatch)
+        world = build_world(tiny_config(), 0.0, 8, 0)
+        _scalar_mode(world.connectivity)
+        assert counter.counts["hash_symmetric"] == world.points().shape[0] * 8
 
 
 # -- warm_worlds bit-identity -------------------------------------------------
