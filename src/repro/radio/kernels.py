@@ -6,15 +6,27 @@ per-world ``(P × N)`` matrix (:meth:`PropagationRealization.connectivity
 <repro.radio.PropagationRealization.connectivity>` routes to this module),
 candidate columns, and the stacked ``(T × P × N)`` pass that
 :func:`repro.sim.warm_worlds` makes for a chunk of trials
-(:func:`batched_connectivity`).  Three steps keep the pass cheap:
+(:func:`batched_connectivity`).  Four steps keep the pass cheap:
 
-1. **Split-form distances.**  ``sqrt(dx·dx + dy·dy)`` from two ``(T, P, N)``
-   coordinate-difference arrays, the same formula as
+1. **Window the lattice.**  A beacon is never heard beyond its *reach*:
+   ``R`` at Noise = 0, the top of the undecided band (step 4) otherwise,
+   widened by a relative :data:`_BAND_MARGIN`.  When the query points are
+   the x-major product of two sorted axes — :meth:`MeasurementGrid.points
+   <repro.geometry.MeasurementGrid.points>` always is — each beacon's
+   per-axis differences are cut to the contiguous window within its reach,
+   distances are computed only over the ``(Wx × Wy)`` window, and the
+   connected pairs are scattered into a zeroed ``(T, P, N)`` answer.
+   Every pair outside the window lies beyond the reach, so it is
+   disconnected.  Other point sets, non-finite inputs and the scalar mode
+   take the dense plan: all ``(T, P, N)`` distances.
+2. **Split-form distances.**  ``sqrt(dx·dx + dy·dy)`` from per-pair
+   coordinate differences, the same formula as
    :func:`repro.geometry.pairwise_distances`, with no ``(T, P, N, 2)``
-   temporary.
-2. **Noise = 0 is the ideal disk.**  ``nf ≡ 0`` makes every effective range
+   temporary.  Both plans apply the same elementwise operations to the
+   same operands, so every distance has the same bits in either plan.
+3. **Noise = 0 is the ideal disk.**  ``nf ≡ 0`` makes every effective range
    exactly ``R``, so the answer is ``dist <= R`` and nothing is hashed.
-3. **Hash only the undecided band.**  The effective range
+4. **Hash only the undecided band.**  The effective range
    ``R(1 + u·nf) − (2c − 1)·nf·R`` with ``u ∈ [−1, 1]``, ``nf ∈ [0, Noise]``
    and ``c`` = CM_thresh (the correction is absent without a threshold,
    which reads as ``c = 1/2``) always lies in
@@ -24,6 +36,7 @@ candidate columns, and the stacked ``(T × P × N)`` pass that
    beyond it never is.  The band is widened by :data:`_BAND_MARGIN` ``· R``
    on each side, far above the few-ulp rounding of the range arithmetic,
    and only the pairs inside it have ``u`` hashed and their range computed.
+   Steps 3 and 4 are one stage shared by both plans (:func:`_decide`).
 
 Bit-identity contract
 ---------------------
@@ -49,6 +62,9 @@ denominator and as the test oracle; outputs are identical in both modes.
 from __future__ import annotations
 
 import os
+import threading
+import weakref
+from collections import OrderedDict
 
 import numpy as np
 
@@ -66,8 +82,15 @@ __all__ = [
 
 #: Relative widening of the undecided band on each side (in units of R).
 #: The range arithmetic rounds at the 1e-16·R level; this keeps every
-#: bound-decided pair decided the way the full comparison would.
+#: bound-decided pair decided the way the full comparison would.  The
+#: window reach is widened by the same relative amount.
 _BAND_MARGIN = 1e-9
+
+#: Recognised lattices of immutable point arrays, keyed on the array object
+#: (``id -> (weakref, axes or None)``), least recently used evicted first.
+_LATTICE_CACHE: OrderedDict = OrderedDict()
+_LATTICE_CACHE_SIZE = 8
+_LATTICE_LOCK = threading.Lock()
 
 _VALID_MODES = ("batch", "scalar")
 _mode = os.environ.get("REPRO_KERNELS", "batch")
@@ -112,6 +135,8 @@ class BatchNoiseParams:
         cm_thresh: float | None,
         u_granularity: str,
     ):
+        if cm_thresh is not None and not 0.5 <= cm_thresh <= 1.0:
+            raise ValueError(f"cm_thresh must be in [0.5, 1], got {cm_thresh}")
         self.radio_range = float(radio_range)
         self.noise = float(noise)
         self.cm_thresh = cm_thresh
@@ -201,6 +226,66 @@ def _undecided_band(params: BatchNoiseParams) -> tuple[float, float]:
     )
 
 
+def _reach(params: BatchNoiseParams) -> float | None:
+    """Distance beyond which no pair is connected or undecided, or ``None``
+    when the parameters give no finite positive bound (dense plan)."""
+    if params.noise == 0.0:
+        edge = params.radio_range
+    else:
+        edge = _undecided_band(params)[1]
+    reach = edge * (1.0 + _BAND_MARGIN)
+    return reach if 0.0 < reach < np.inf else None
+
+
+def _product_axes(points: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(xs, ys)`` if ``points[i·len(ys) + j] == (xs[i], ys[j])`` for two
+    strictly increasing finite axes, else ``None``.  O(P), no sort."""
+    if points.ndim != 2 or points.shape[1] != 2 or points.shape[0] == 0:
+        return None
+    x, y = points[:, 0], points[:, 1]
+    ny = int(np.argmax(x != x[0])) or x.shape[0]
+    if x.shape[0] % ny:
+        return None
+    xs, ys = x[::ny].copy(), y[:ny].copy()
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        return None
+    if (xs[1:] <= xs[:-1]).any() or (ys[1:] <= ys[:-1]).any():
+        return None
+    if not ((x.reshape(-1, ny) == xs[:, None]).all() and (y.reshape(-1, ny) == ys).all()):
+        return None
+    return xs, ys
+
+
+def _immutable(arr) -> bool:
+    """Whether ``arr`` and every array it views are non-writeable."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return True
+
+
+def _lattice_axes(points: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """:func:`_product_axes`, cached per object for immutable arrays only
+    (a writeable array could change between calls, so it is checked on
+    each).  A dead weak reference marks a reused ``id`` as a miss."""
+    if not _immutable(points):
+        return _product_axes(points)
+    key = id(points)
+    with _LATTICE_LOCK:
+        hit = _LATTICE_CACHE.get(key)
+        if hit is not None and hit[0]() is points:
+            _LATTICE_CACHE.move_to_end(key)
+            return hit[1]
+    axes = _product_axes(points)
+    with _LATTICE_LOCK:
+        _LATTICE_CACHE[key] = (weakref.ref(points), axes)
+        _LATTICE_CACHE.move_to_end(key)
+        while len(_LATTICE_CACHE) > _LATTICE_CACHE_SIZE:
+            _LATTICE_CACHE.popitem(last=False)
+    return axes
+
+
 def _split_distances(points: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """``(T, P, N)`` distances ``sqrt(dx·dx + dy·dy)``, computed in place."""
     dx = points[None, :, None, 0] - positions[:, None, :, 0]
@@ -211,18 +296,44 @@ def _split_distances(points: np.ndarray, positions: np.ndarray) -> np.ndarray:
     return np.sqrt(dx, out=dx)
 
 
-def _connectivity(params, seeds, ids, positions, points) -> np.ndarray:
-    """The kernel behind every entry point: ``(T, P, N)`` bool, N ≥ 1."""
-    dist = _split_distances(points, positions)
-    if _mode == "scalar":
-        return dist <= batched_effective_ranges(params, seeds, ids, points)
+def _axis_window(axis: np.ndarray, coords: np.ndarray, reach: float):
+    """Per-beacon window on one sorted axis: ``(T, N, W)`` indices and the
+    differences ``axis[i] − coord`` there, for a common width ``W``.
+
+    Rounding is monotone, so the points whose computed difference lies in
+    ``[−reach, reach]`` are contiguous; windows are shifted inside the axis
+    where the common width overhangs it.
+    """
+    coords = coords[:, :, None]
+    diff = axis - coords  # (T, N, A)
+    start = (diff < -reach).sum(axis=2)
+    width = int(((diff <= reach).sum(axis=2) - start).max(initial=0))
+    idx = np.minimum(start, axis.shape[0] - width)[:, :, None] + np.arange(width)
+    return idx, axis[idx] - coords
+
+
+def _window_distances(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """``(T, N, Wx, Wy)`` distances from per-axis differences — the same
+    operations on the same operands as :func:`_split_distances`."""
+    dist = np.multiply(dx, dx)[:, :, :, None] + np.multiply(dy, dy)[:, :, None, :]
+    return np.sqrt(dist, out=dist)
+
+
+def _decide(params, seeds, ids, points, dist, pair_of):
+    """The shared stage: ``dist`` (any layout) → connectivity, same layout.
+
+    Noise = 0 compares against ``R``; otherwise pairs outside the band are
+    decided by its bound and only in-band pairs are hashed.  ``pair_of``
+    maps ``np.nonzero`` of ``dist``'s layout to ``(t, p, n)`` indices.
+    """
     if params.noise == 0.0:
         return dist <= params.radio_range
     lo, hi = _undecided_band(params)
     conn = dist < lo
-    t, p, n = np.nonzero((dist >= lo) & (dist <= hi))
-    if t.size == 0:
+    band = np.nonzero((dist >= lo) & (dist <= hi))
+    if band[0].size == 0:
         return conn
+    t, p, n = pair_of(band)
     nf = params.noise * hash_uniform(seeds[:, None], ids, _NF_TAG)  # (T, N)
     if params.u_granularity == "beacon":
         u = hash_symmetric(seeds[:, None], ids, _U_TAG)[t, n]
@@ -230,8 +341,44 @@ def _connectivity(params, seeds, ids, positions, points) -> np.ndarray:
         qx, qy = quantize_coords(points)
         u = hash_symmetric(seeds[t], ids[t, n], _U_TAG, qx[p], qy[p])
     ranges = jittered_range(params.radio_range, u, nf[t, n], params.cm_thresh)
-    conn[t, p, n] = dist[t, p, n] <= ranges
+    conn[band] = dist[band] <= ranges
     return conn
+
+
+def _window_connectivity(params, seeds, ids, positions, points, axes, reach):
+    """The window plan over a product lattice: ``(T, P, N)`` bool."""
+    xs, ys = axes
+    (t_count, n_count), p_count = positions.shape[:2], points.shape[0]
+    ix, dx = _axis_window(xs, positions[:, :, 0], reach)
+    iy, dy = _axis_window(ys, positions[:, :, 1], reach)
+    dist = _window_distances(dx, dy).reshape(-1)  # flat (T, N, Wx, Wy)
+    # Flat (T, P, N) offset of every window pair: (t·P + ix·Ny + iy)·N + n.
+    tn = np.arange(t_count)[:, None] * (p_count * n_count) + np.arange(n_count)
+    x_part = ix * (ys.shape[0] * n_count) + tn[:, :, None]
+    flat = (x_part[:, :, :, None] + (iy * n_count)[:, :, None, :]).reshape(-1)
+
+    def pair_of(window):
+        offsets = flat[window]
+        return offsets // (p_count * n_count), offsets // n_count % p_count, offsets % n_count
+
+    connected = _decide(params, seeds, ids, points, dist, pair_of)
+    conn = np.zeros((t_count, p_count, n_count), dtype=bool)
+    conn.reshape(-1)[flat[connected]] = True
+    return conn
+
+
+def _connectivity(params, seeds, ids, positions, points) -> np.ndarray:
+    """The kernel behind every entry point: ``(T, P, N)`` bool, N ≥ 1."""
+    if _mode == "scalar":
+        dist = _split_distances(points, positions)
+        return dist <= batched_effective_ranges(params, seeds, ids, points)
+    reach = _reach(params)
+    if reach is not None and np.isfinite(positions).all():
+        axes = _lattice_axes(points)
+        if axes is not None:
+            return _window_connectivity(params, seeds, ids, positions, points, axes, reach)
+    dist = _split_distances(points, positions)
+    return _decide(params, seeds, ids, points, dist, lambda band: band)
 
 
 def _realization_connectivity(realization, ids, positions, points) -> np.ndarray | None:

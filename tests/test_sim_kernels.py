@@ -7,15 +7,21 @@ worlds and all-NaN cells, plus the numerical facts the kernels rely on
 (stacked mat-muls and row-wise nan-reductions matching their per-slice
 forms).  The pruned connectivity kernel (:mod:`repro.radio.kernels`) is
 compared with the unpruned oracle on band-edge points, every noise reading
-and stacks, and its hash calls are counted.  The shared-memory world state
-(:mod:`repro.sim.executors.shm`) is covered for bit-identical cache
-pre-seeding and segment lifecycle.
+and stacks, and its hash calls are counted.  Its window plan on product
+lattices meets the same oracle on beacons at R, the band edges and the
+reach (± 1 ulp), plan selection is watched through the distance helpers,
+and the lattice cache is pinned bounded, never stale and thread-safe.  The
+shared-memory world state (:mod:`repro.sim.executors.shm`) is covered for
+bit-identical cache pre-seeding and segment lifecycle.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -23,7 +29,7 @@ import pytest
 from repro import CentroidLocalizer, ExperimentConfig, UnlocalizedPolicy
 from repro.faults import CrashFault
 from repro.field import Beacon, BeaconField
-from repro.geometry import Point, pairwise_distances
+from repro.geometry import MeasurementGrid, Point, pairwise_distances
 from repro.obs import MetricsRegistry, disable_metrics, enable_metrics
 from repro.placement import MaxPlacement, RandomPlacement
 from repro.radio import BeaconNoiseRealization, beacon_rows
@@ -329,6 +335,346 @@ class TestPrunedKernelHashCounts:
         world = build_world(tiny_config(), 0.0, 8, 0)
         _scalar_mode(world.connectivity)
         assert counter.counts["hash_symmetric"] == world.points().shape[0] * 8
+
+
+class TestBatchNoiseParamsDomain:
+    @pytest.mark.parametrize("cm_thresh", [1.5, -0.5, 0.49, float("nan")])
+    def test_out_of_domain_cm_thresh_rejected(self, cm_thresh):
+        """The band (and the window reach) hold only for ``c ∈ [0.5, 1]``;
+        the realization refuses anything else, and so do batch params."""
+        with pytest.raises(ValueError, match=r"cm_thresh must be in \[0.5, 1\]"):
+            radio_kernels.BatchNoiseParams(RANGE, 0.3, cm_thresh, "pair")
+        with pytest.raises(ValueError, match=r"cm_thresh must be in \[0.5, 1\]"):
+            BeaconNoiseRealization(RANGE, 0.3, 1, "pair", cm_thresh)
+
+
+# -- The window plan on product lattices ---------------------------------------
+
+
+def _lattice(xs, ys, writeable=False):
+    """The x-major product of two axes, as ``MeasurementGrid.points()``."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    points = np.column_stack([np.repeat(xs, ys.size), np.tile(ys, xs.size)])
+    points.setflags(write=writeable)
+    return points
+
+
+#: (xs, ys): a square lattice whose step divides R, a non-square one whose
+#: step (3) does not, and an irregular sorted one straddling the origin.
+LATTICES = {
+    "square": (np.arange(7) * 5.0, np.arange(7) * 5.0),
+    "non-square": (np.arange(11) * 3.0, np.arange(7) * 3.0),
+    "irregular": (
+        np.array([-4.5, -1.0, 0.0, 0.1, 2.0, 7.75, 12.0, 20.0]),
+        np.array([0.0, 1e-3, 5.0, 6.0, 13.5]),
+    ),
+}
+
+
+def _with_ulps(v):
+    """``v`` and its two float neighbours."""
+    return [v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf)]
+
+
+def _probe_beacons(xs, ys, params):
+    """Beacons at float distance exactly R (and the band edges and the
+    window reach) from a lattice point along an axis and on a (6, 8)
+    diagonal, one ulp either side of each; ±1e-17 and ±1 ulp off lattice
+    coordinates; in the terrain's corners; and outside it."""
+    x0, y0 = xs[len(xs) // 2], ys[len(ys) // 2]
+    lo, hi = radio_kernels._undecided_band(params)
+    radii = [RANGE, radio_kernels._reach(params)]
+    radii += [r for r in (lo, hi) if np.isfinite(r) and r > 0]
+    beacons = []
+    for r in radii:
+        for edge in (x0 + r, x0 - r):
+            beacons += [(bx, y0) for bx in _with_ulps(edge)]
+        for edge in (y0 + r, y0 - r):
+            beacons += [(x0, by) for by in _with_ulps(edge)]
+    beacons += [(bx, by) for bx in _with_ulps(x0 + 6.0) for by in _with_ulps(y0 - 8.0)]
+    for x in (xs[0], xs[1], x0, xs[-1]):
+        beacons += [(x + 1e-17, y0), (x - 1e-17, y0)]
+        beacons += [(bx, ys[0]) for bx in _with_ulps(x)[1:]]
+    beacons += [(xs[0], ys[0]), (xs[-1], ys[-1]), (xs[0], ys[-1]), (xs[-1], ys[0])]
+    beacons += [
+        (xs[0] - RANGE - 0.5, y0),
+        (xs[-1] + 3.0, ys[-1] + 4.0),
+        (xs[0] - 50.0, ys[0] - 50.0),
+        (xs[-1] + RANGE, ys[-1] + RANGE),
+    ]
+    return np.array(beacons)
+
+
+class _PlanSpy:
+    """Records the element count of every window / dense distance pass."""
+
+    def __init__(self, monkeypatch):
+        self.window: list[int] = []
+        self.dense: list[int] = []
+        for name, log in (("_window_distances", self.window), ("_split_distances", self.dense)):
+            monkeypatch.setattr(
+                radio_kernels, name, self._wrap(getattr(radio_kernels, name), log)
+            )
+
+    @staticmethod
+    def _wrap(original, log):
+        def spied(*args):
+            out = original(*args)
+            log.append(int(out.size))
+            return out
+
+        return spied
+
+    def reset(self):
+        self.window.clear()
+        self.dense.clear()
+
+
+def _in_band_pairs(params, points, positions):
+    lo, hi = radio_kernels._undecided_band(params)
+    total = 0
+    for pos in positions:
+        dist = pairwise_distances(points, pos)
+        total += int(np.count_nonzero((dist >= lo) & (dist <= hi)))
+    return total
+
+
+class TestWindowPlan:
+    @pytest.mark.parametrize("granularity", ["pair", "beacon"])
+    @pytest.mark.parametrize("cm_thresh", [None, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("noise", [0.0, -0.0, 0.1, 0.9])
+    @pytest.mark.parametrize("lattice", sorted(LATTICES))
+    def test_matches_scalar_oracle(
+        self, monkeypatch, lattice, noise, cm_thresh, granularity
+    ):
+        xs, ys = LATTICES[lattice]
+        points = _lattice(xs, ys)
+        params = radio_kernels.BatchNoiseParams(RANGE, noise, cm_thresh, granularity)
+        beacons = _probe_beacons(xs, ys, params)
+        order = np.random.default_rng(len(beacons)).permutation(len(beacons))
+        positions = np.stack([beacons, beacons[order], beacons[::-1]])  # T = 3
+        seeds = np.array([3, 17, 2024], dtype=np.uint64)
+        ids = np.tile(np.arange(len(beacons), dtype=np.uint64), (3, 1))
+        args = (params, seeds, ids, positions, points)
+        expected = _scalar_mode(lambda: radio_kernels.batched_connectivity(*args))
+
+        spy = _PlanSpy(monkeypatch)
+        counter = _HashCounter(monkeypatch)
+        stacked = radio_kernels.batched_connectivity(*args)
+        assert spy.dense == [] and len(spy.window) == 1
+        assert stacked.flags.c_contiguous
+        assert_bits_equal(stacked, expected)
+        if noise != 0.0 and granularity == "pair":
+            assert counter.counts["hash_symmetric"] == _in_band_pairs(
+                params, points, positions
+            )
+
+        for t in (0, 2):  # T = 1: one world through the per-world entry point
+            realization = BeaconNoiseRealization(
+                RANGE, noise, int(seeds[t]), granularity, cm_thresh
+            )
+            field = BeaconField.from_positions(positions[t])
+            conn = realization.connectivity(points, field)
+            assert_bits_equal(conn, expected[t])
+            assert_bits_equal(conn, _oracle(realization, points, field))
+        # N = 1: one candidate column in the last world.
+        probe = positions[2][:1]
+        column = candidate_columns(realization, points, 99, probe)
+        assert column.shape == (points.shape[0], 1)
+        assert_bits_equal(column, _oracle(realization, points, [Beacon(99, Point(*probe[0]))]))
+        assert spy.dense == []
+
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    def test_empty_stacks_and_fields_on_a_lattice(self, monkeypatch, noise):
+        points = _lattice(*LATTICES["non-square"])
+        params = radio_kernels.BatchNoiseParams(RANGE, noise, None, "pair")
+        spy = _PlanSpy(monkeypatch)
+        no_trials = radio_kernels.batched_connectivity(
+            params,
+            np.zeros(0, dtype=np.uint64),
+            np.zeros((0, 3), dtype=np.uint64),
+            np.zeros((0, 3, 2)),
+            points,
+        )
+        assert no_trials.shape == (0, points.shape[0], 3)
+        assert spy.window == [0] and spy.dense == []
+        no_beacons = radio_kernels.batched_connectivity(
+            params,
+            np.array([5, 6], dtype=np.uint64),
+            np.zeros((2, 0), dtype=np.uint64),
+            np.zeros((2, 0, 2)),
+            points,
+        )
+        assert no_beacons.shape == (2, points.shape[0], 0)
+
+    def test_all_beacons_out_of_reach(self, monkeypatch):
+        points = _lattice(*LATTICES["square"])
+        params = radio_kernels.BatchNoiseParams(RANGE, 0.3, None, "pair")
+        positions = np.array([[[-100.0, -100.0], [500.0, 15.0]]])
+        spy = _PlanSpy(monkeypatch)
+        conn = radio_kernels.batched_connectivity(
+            params, np.array([1], dtype=np.uint64),
+            np.array([[0, 1]], dtype=np.uint64), positions, points,
+        )
+        assert spy.window == [0] and spy.dense == []
+        assert not conn.any() and conn.shape == (1, points.shape[0], 2)
+
+
+class TestPlanSelection:
+    def test_lattice_computes_only_window_distances(self, monkeypatch):
+        """The per-axis window holds at most ``floor(2·reach/step) + 1``
+        points, so a world costs at most ``N·Wx·Wy`` distances."""
+        grid = MeasurementGrid(60.0, 1.0)
+        points = grid.points()
+        rng = np.random.default_rng(4)
+        positions = rng.uniform(-5.0, 65.0, (2, 12, 2))
+        ids = np.tile(np.arange(12, dtype=np.uint64), (2, 1))
+        seeds = np.array([1, 2], dtype=np.uint64)
+        for noise in (0.0, 0.3):
+            params = radio_kernels.BatchNoiseParams(RANGE, noise, 0.9, "pair")
+            width = int(np.floor(2.0 * radio_kernels._reach(params) / grid.step)) + 1
+            spy = _PlanSpy(monkeypatch)
+            conn = radio_kernels.batched_connectivity(params, seeds, ids, positions, points)
+            assert spy.dense == []
+            assert spy.window[0] <= 2 * 12 * width * width < 2 * 12 * points.shape[0]
+            expected = _scalar_mode(
+                lambda: radio_kernels.batched_connectivity(
+                    params, seeds, ids, positions, points
+                )
+            )
+            assert_bits_equal(conn, expected)
+
+    def test_paper_path_callers_take_the_window_plan(self, monkeypatch):
+        from repro.sim.incremental import FieldState
+
+        config = tiny_config()
+        spy = _PlanSpy(monkeypatch)
+        for noise in config.noise_levels:
+            world = build_world(config, noise, 8, 0)
+            world.connectivity()
+            candidate_columns(world.realization, world.points(), 50, world.points()[::2])
+            warm_worlds([build_world(config, noise, 8, 1)])
+            FieldState.build(
+                world.field, world.realization, world.grid, localizer=world.localizer
+            )
+        assert spy.dense == [] and len(spy.window) == 4 * len(config.noise_levels)
+
+    @staticmethod
+    def _dense_case(monkeypatch, points, noise=0.3):
+        realization = BeaconNoiseRealization(RANGE, noise, 77, "pair", 0.9)
+        params = radio_kernels.batch_params_from_realization(realization)
+        field = BeaconField.from_positions(_probe_beacons(*LATTICES["square"], params))
+        spy = _PlanSpy(monkeypatch)
+        conn = realization.connectivity(points, field)
+        assert spy.window == [] and len(spy.dense) == 1
+        assert_bits_equal(conn, _oracle(realization, points, field))
+
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    def test_off_lattice_points_take_the_dense_plan(self, monkeypatch, noise):
+        points = _lattice(*LATTICES["square"]) + np.array([0.0, 0.37])
+        points[::5, 1] += 0.01
+        self._dense_case(monkeypatch, points, noise)
+
+    def test_row_permuted_lattice_takes_the_dense_plan(self, monkeypatch):
+        lattice = _lattice(*LATTICES["square"])
+        order = np.random.default_rng(2).permutation(lattice.shape[0])
+        self._dense_case(monkeypatch, lattice[order])
+        self._dense_case(monkeypatch, lattice[:, ::-1].copy())  # y-major
+
+    def test_partial_survey_takes_the_dense_plan(self, monkeypatch):
+        lattice = _lattice(*LATTICES["square"])
+        self._dense_case(monkeypatch, lattice[::3])
+        self._dense_case(monkeypatch, lattice[lattice[:, 0] + lattice[:, 1] <= 30.0])
+
+    def test_non_finite_inputs_take_the_dense_plan(self, monkeypatch):
+        points = _lattice(*LATTICES["square"])
+        params = radio_kernels.BatchNoiseParams(RANGE, 0.3, None, "pair")
+        positions = np.array([[[5.0, 5.0], [np.nan, 3.0], [np.inf, 1.0]]])
+        args = (params, np.array([9], dtype=np.uint64),
+                np.array([[0, 1, 2]], dtype=np.uint64), positions, points)
+        spy = _PlanSpy(monkeypatch)
+        conn = radio_kernels.batched_connectivity(*args)
+        assert spy.window == [] and len(spy.dense) == 1
+        assert_bits_equal(conn, _scalar_mode(lambda: radio_kernels.batched_connectivity(*args)))
+
+    def test_mutated_writeable_copy_is_rechecked(self, monkeypatch):
+        points = MeasurementGrid(30.0, 5.0).points().copy()
+        assert points.flags.writeable
+        realization = BeaconNoiseRealization(RANGE, 0.3, 12)
+        field = BeaconField.from_positions([(7.0, 8.0), (20.0, 25.5), (31.0, -2.0)])
+        spy = _PlanSpy(monkeypatch)
+        assert_bits_equal(
+            realization.connectivity(points, field), _oracle(realization, points, field)
+        )
+        assert len(spy.window) == 1 and spy.dense == []
+        points[4] += (0.25, -0.5)
+        spy.reset()
+        assert_bits_equal(
+            realization.connectivity(points, field), _oracle(realization, points, field)
+        )
+        assert spy.window == [] and len(spy.dense) == 1
+
+    def test_lattice_cache_is_bounded_and_never_stale(self, monkeypatch):
+        monkeypatch.setattr(radio_kernels, "_LATTICE_CACHE", type(radio_kernels._LATTICE_CACHE)())
+        cache = radio_kernels._LATTICE_CACHE
+        lattices = [_lattice(np.arange(4) * (i + 1.0), np.arange(3.0)) for i in range(20)]
+        for points in lattices:
+            xs, _ = radio_kernels._lattice_axes(points)
+            assert_bits_equal(xs, points[::3, 0])
+            assert len(cache) <= radio_kernels._LATTICE_CACHE_SIZE
+        # An entry whose array died (its id free for reuse) is a miss.
+        points = _lattice(np.arange(5.0), np.arange(2.0))
+
+        class Dead:
+            pass
+
+        dead = weakref.ref(Dead())
+        cache[id(points)] = (dead, (np.zeros(1), np.zeros(1)))
+        xs, ys = radio_kernels._lattice_axes(points)
+        assert_bits_equal(xs, np.arange(5.0))
+        assert_bits_equal(ys, np.arange(2.0))
+        assert cache[id(points)][0]() is points
+        # Writeable arrays, and read-only views of them, are never cached.
+        size = len(cache)
+        base = _lattice(np.arange(3.0), np.arange(3.0), writeable=True)
+        view = base[:]
+        view.setflags(write=False)
+        for points in (base, view):
+            assert radio_kernels._lattice_axes(points) is not None
+        assert len(cache) == size
+        base[0, 0] = 99.0
+        assert radio_kernels._lattice_axes(view) is None
+
+    def test_lattice_cache_under_thread_contention(self, monkeypatch):
+        """More threads than cores, a short switch interval and more arrays
+        than cache slots: every lookup still returns its own array's axes."""
+        monkeypatch.setattr(radio_kernels, "_LATTICE_CACHE", type(radio_kernels._LATTICE_CACHE)())
+        lattices = [_lattice(np.arange(3.0) + i, np.arange(2.0)) for i in range(24)]
+        errors = []
+
+        def hammer(offset):
+            try:
+                for k in range(3000):
+                    i = (offset + k) % len(lattices)
+                    xs, _ = radio_kernels._lattice_axes(lattices[i])
+                    if xs[0] != i:
+                        errors.append((i, xs[0]))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(7 * n,)) for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(radio_kernels._LATTICE_CACHE) <= radio_kernels._LATTICE_CACHE_SIZE
 
 
 # -- warm_worlds bit-identity -------------------------------------------------
