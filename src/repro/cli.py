@@ -102,8 +102,6 @@ from .sim import (
     make_executor,
     mean_error_curve,
     placement_improvement_curves,
-    resilient_mean_error_curve,
-    resilient_placement_improvement_curves,
     run_placement_trial,
     run_worker,
     write_curve_set,
@@ -206,46 +204,42 @@ def _executor_from_args(args):
     return executor
 
 
-def _resilient_requested(args) -> bool:
-    return (
-        args.workers > 1
-        or args.journal is not None
-        or args.executor is not None
-        or args.chunk is not None
-    )
-
-
 def _mean_curve(config, noise, args):
-    """A figure 4/6 series, resilient when --workers/--journal ask for it.
+    """A figure 4/6 series on the backend and journal the flags choose.
 
     One journal file serves a whole multi-noise figure: the fingerprint
     covers (kind, config) while each cell key carries its noise level.
     """
-    if _resilient_requested(args):
-        return resilient_mean_error_curve(
-            config,
-            noise,
-            workers=args.workers,
-            journal_path=args.journal,
-            progress=_progress(args),
-            executor=_executor_from_args(args),
-        )
-    return mean_error_curve(config, noise, progress=_progress(args))
+    return mean_error_curve(
+        config,
+        noise,
+        workers=args.workers,
+        journal_path=args.journal,
+        progress=_progress(args),
+        executor=_executor_from_args(args),
+    )
 
 
 def _improvement(config, noise, algorithms, args):
-    """Figure 5/7–9 curve sets, resilient when --workers/--journal ask."""
-    if _resilient_requested(args):
-        return resilient_placement_improvement_curves(
-            config,
-            noise,
-            algorithms,
-            workers=args.workers,
-            journal_path=args.journal,
-            progress=_progress(args),
-            executor=_executor_from_args(args),
+    """Figure 5/7–9 curve sets on the backend and journal the flags choose."""
+    return placement_improvement_curves(
+        config,
+        noise,
+        algorithms,
+        workers=args.workers,
+        journal_path=args.journal,
+        progress=_progress(args),
+        executor=_executor_from_args(args),
+    )
+
+
+def _warn_failed(failed: int) -> None:
+    """Report cells that exhausted their retries (their samples are NaN)."""
+    if failed:
+        print(
+            f"\nwarning: {failed} cell(s) exhausted retries (NaN-degraded)",
+            file=sys.stderr,
         )
-    return placement_improvement_curves(config, noise, algorithms, progress=_progress(args))
 
 
 def _cmd_reproduce(args) -> int:
@@ -254,10 +248,12 @@ def _cmd_reproduce(args) -> int:
     if figure == "fig4":
         curve = _mean_curve(config, 0.0, args)
         _emit(CurveSet("Figure 4: mean localization error vs density (Ideal)", [curve]), args)
+        _warn_failed(curve.meta["failed_cells"])
         return 0
     if figure == "fig6":
         curves = [_mean_curve(config, noise, args) for noise in PAPER_NOISE_LEVELS]
         _emit(CurveSet("Figure 6: mean localization error vs density (Noise)", curves), args)
+        _warn_failed(sum(c.meta["failed_cells"] for c in curves))
         return 0
     if figure == "fig5":
         mean_set, median_set = _improvement(config, 0.0, _paper_algorithms(config), args)
@@ -266,6 +262,7 @@ def _cmd_reproduce(args) -> int:
         _emit(mean_set, args, csv_suffix="_mean")
         print()
         _emit(median_set, args, csv_suffix="_median")
+        _warn_failed(mean_set.meta["failed_cells"])
         return 0
     algorithm = {"fig7": RandomPlacement(), "fig8": MaxPlacement()}.get(figure)
     if algorithm is None:
@@ -273,11 +270,13 @@ def _cmd_reproduce(args) -> int:
             config.side, config.radio_range, config.num_grids
         )
     mean_curves, median_curves = [], []
+    failed = 0
     for noise in PAPER_NOISE_LEVELS:
         mean_set, median_set = _improvement(config, noise, [algorithm], args)
         label = "Ideal" if noise == 0.0 else f"Noise={noise:g}"
         mean_curves.append(_relabel(mean_set.curves[0], label))
         median_curves.append(_relabel(median_set.curves[0], label))
+        failed += mean_set.meta["failed_cells"]
     number = {"fig7": "7", "fig8": "8", "fig9": "9"}[figure]
     name = algorithm.name.capitalize()
     _emit(
@@ -291,6 +290,7 @@ def _cmd_reproduce(args) -> int:
         args,
         csv_suffix="_median",
     )
+    _warn_failed(failed)
     return 0
 
 
@@ -697,9 +697,7 @@ def _cmd_timeline(args) -> int:
     _emit_timeline(mean_set, args, csv_suffix="_mean")
     print()
     _emit_timeline(upper_set, args, csv_suffix=f"_p{args.percentile:g}")
-    failed = mean_set.meta.get("failed_cells", 0)
-    if failed:
-        print(f"\nwarning: {failed} cell(s) exhausted retries (NaN-degraded)", file=sys.stderr)
+    _warn_failed(mean_set.meta.get("failed_cells", 0))
     return 0
 
 
@@ -771,12 +769,7 @@ def _cmd_selfheal(args) -> int:
             json.dumps(payload, sort_keys=True, indent=2) + "\n"
         )
         print(f"\nwrote decision log {args.decisions}")
-    failed = result.on_mean.meta.get("failed_cells", 0)
-    if failed:
-        print(
-            f"\nwarning: {failed} cell(s) exhausted retries (NaN-degraded)",
-            file=sys.stderr,
-        )
+    _warn_failed(result.on_mean.meta.get("failed_cells", 0))
     return 0
 
 
@@ -853,12 +846,7 @@ def _cmd_greedyk(args) -> int:
             lines.append(f"{n!r},{c},{i},{b!r},{f!r},{p}")
         Path(args.csv).write_text("\n".join(lines) + "\n")
         print(f"\nwrote {args.csv}")
-    failed = sum(1 for _, _, _, b, _, _ in rows if b != b)
-    if failed:
-        print(
-            f"\nwarning: {failed} cell(s) exhausted retries (NaN-degraded)",
-            file=sys.stderr,
-        )
+    _warn_failed(sum(1 for _, _, _, b, _, _ in rows if b != b))
     return 0
 
 

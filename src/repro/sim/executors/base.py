@@ -5,11 +5,12 @@ outcome callbacks, nothing more: retry accounting, journaling, metrics on
 completion and result collection all stay in :func:`repro.sim.resilient.run_cells`
 via the ``emit`` callback it passes in.  That keeps journal + retry
 semantics identical across backends — an executor only decides *where* a
-cell runs and *how* its result travels back.
+cell runs and *how* its result travels back.  Every sweep in the package,
+the default in-process figure sweeps included, reaches an executor through
+``run_cells``.
 
-Pool setup (``spawn_context``/``validate_workers``) lives here; both
-``sim.parallel`` and ``sim.resilient`` used to re-derive it and now import
-from this module.
+Pool setup (``spawn_context``/``validate_workers``/:func:`make_executor`)
+lives here, once.
 """
 
 from __future__ import annotations
@@ -400,18 +401,23 @@ def make_executor(
 ) -> CellExecutor:
     """Build a backend by name — the single place pool setup is derived.
 
-    ``None`` picks the legacy default: serial for ``workers <= 1``, a local
-    spawn pool otherwise.  ``bind`` is a ``(host, port)`` pair for the
-    socket backend.
+    ``None`` picks the default: serial for ``workers == 1``, a local spawn
+    pool otherwise.  ``bind`` is a ``(host, port)`` pair for the socket
+    backend.
+
+    Raises:
+        ValueError: if ``workers < 1`` and the backend is chosen by (or
+            sized from) ``workers`` — ``None`` or ``"pool"``.
     """
     from .local import PoolExecutor, SerialExecutor
 
+    if name in (None, "pool"):
+        validate_workers(workers)
     if name is None:
-        name = "serial" if workers <= 1 else "pool"
+        name = "serial" if workers == 1 else "pool"
     if name == "serial":
         return SerialExecutor()
     if name == "pool":
-        validate_workers(workers)
         return PoolExecutor(workers=workers, chunk=chunk, mp_context=mp_context)
     if name == "socket":
         from .sockets import SocketExecutor

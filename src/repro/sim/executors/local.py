@@ -41,17 +41,19 @@ from .base import (
 
 __all__ = ["SerialExecutor", "PoolExecutor", "auto_chunk"]
 
-#: Cells planned per serial batch pass.  Bounds the state a batch planner
-#: may retain (pre-warmed worlds live until their cell is emitted) while
-#: still amortizing the kernel pass over a useful block.
-SERIAL_BATCH = 128
+#: Most cells one batch-planning pass covers, on every backend: a serial
+#: block, and the largest pool chunk :func:`auto_chunk` picks.  Bounds the
+#: state a batch planner retains (pre-warmed worlds live until their cell
+#: runs).  At paper shape one world already fills a kernel block
+#: (``DEFAULT_BLOCK_ELEMENTS``), so a larger pass batches no better.
+MAX_CHUNK = 16
 
 
 class SerialExecutor(CellExecutor):
     """Run cells in-process, in order.  No timeouts (nothing can preempt).
 
     Cells whose function has a registered batch planner are planned in
-    blocks of :data:`SERIAL_BATCH` — one vectorized pass per block — and
+    blocks of :data:`MAX_CHUNK` — one vectorized pass per block — and
     retried scalar (thunks are first-attempt only; a retry should not trust
     the batch state that just failed).
     """
@@ -72,8 +74,8 @@ class SerialExecutor(CellExecutor):
         tracer = get_tracer()
         live = get_live()
         pending = list(pending)
-        for start_index in range(0, len(pending), SERIAL_BATCH):
-            block = pending[start_index : start_index + SERIAL_BATCH]
+        for start_index in range(0, len(pending), MAX_CHUNK):
+            block = pending[start_index : start_index + MAX_CHUNK]
             thunks = batch_thunks(fn, [args for _, args in block])
             for j, (key, args) in enumerate(block):
                 thunk = thunks[j] if thunks is not None else None
@@ -113,7 +115,7 @@ def auto_chunk(cells: int, workers: int) -> int:
     """Default cells-per-chunk: enough to amortize IPC, small enough to
     keep all workers busy (≥ 4 chunks per worker) and to keep the
     charge-the-chunk failure blast radius modest."""
-    return max(1, min(16, cells // (workers * 4)))
+    return max(1, min(MAX_CHUNK, cells // (workers * 4)))
 
 
 class _Outstanding:

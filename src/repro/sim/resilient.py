@@ -1,8 +1,8 @@
-"""Resilient sweep execution: checkpoints, retries, degraded aggregation.
+"""The sweep engine: checkpoints, retries, degraded aggregation.
 
-Paper-fidelity sweeps are hours of work; a single stuck or crashing worker
-must not discard them.  This module wraps the per-cell fan-out of
-:mod:`repro.sim.parallel` in three layers of protection:
+Every figure sweep runs here, whatever the backend.  :func:`run_cells` fans
+out independent ``(key, args)`` cells and wraps them in three layers of
+protection:
 
 * **Checkpoint journal** (:class:`SweepJournal`) — an append-only JSONL file
   next to the CSV outputs.  Every completed cell is one flushed line, so a
@@ -18,7 +18,13 @@ must not discard them.  This module wraps the per-cell fan-out of
 * **Degraded aggregation** — a cell that exhausts its retries degrades to
   NaN instead of aborting the sweep.  :meth:`Curve.from_samples` drops NaNs
   and records per-point sample coverage in ``Curve.meta["coverage"]``; the
-  returned curve sets record the failed-cell count in their ``meta``.
+  returned curves record the failed-cell count in their ``meta``.
+
+The figure sweeps — :func:`mean_error_curve` (Figures 4 and 6) and
+:func:`placement_improvement_curves` (Figures 5, 7–9) — are one body each
+over :func:`run_cells`: with no arguments they run in-process, with
+``workers``/``executor``/``journal_path`` the same cells run elsewhere or
+checkpointed, and the curves are bit-identical either way.
 
 *Where* cells run is delegated to :mod:`repro.sim.executors`: in-process
 (:class:`~repro.sim.executors.SerialExecutor`), on a local spawn pool
@@ -35,6 +41,7 @@ by up to ``workers × timeout``).
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import json
 import time as _time
@@ -54,8 +61,14 @@ from ..obs import (
     get_tracer,
 )
 from ..placement import PlacementAlgorithm
+from ..radio import PropagationModel
 from .config import ExperimentConfig
-from .executors import CellExecutor, make_executor, register_batch_planner
+from .executors import (
+    CellExecutor,
+    SerialExecutor,
+    make_executor,
+    register_batch_planner,
+)
 from .executors.shm import publish_for_executor
 from .kernels import DEFAULT_BLOCK_ELEMENTS, batch_surface_stats, warm_worlds
 from .results import Curve, CurveSet
@@ -68,6 +81,8 @@ __all__ = [
     "SweepJournal",
     "run_cells",
     "sweep_fingerprint",
+    "mean_error_curve",
+    "placement_improvement_curves",
     "resilient_mean_error_curve",
     "resilient_placement_improvement_curves",
 ]
@@ -348,7 +363,7 @@ def run_cells(
             str/int/float.
         fn: the cell function; must be picklable (module-level) for pool
             mode and importable by reference for socket workers.
-        workers: process count when no ``executor`` is given; ``<= 1`` runs
+        workers: process count when no ``executor`` is given; ``1`` runs
             in-process (no timeouts).
         policy: retry/timeout policy (default :class:`RetryPolicy`).
         journal: optional checkpoint journal.
@@ -361,7 +376,29 @@ def run_cells(
 
     Returns:
         ``{canonical key: value or None}`` for every job.
+
+    Raises:
+        ValueError: if no ``executor`` is given and ``workers < 1``.
     """
+    owned = executor is None
+    if owned:
+        # Built before anything runs, so a bad worker count is refused up
+        # front; a pool starts its processes only on first dispatch.
+        executor = make_executor(workers=workers, mp_context=mp_context)
+    try:
+        return _execute_cells(jobs, fn, workers, policy, journal, progress, executor)
+    finally:
+        if owned:
+            executor.close()
+
+
+def _execute_cells(
+    jobs, fn, workers, policy, journal, progress, executor, settled=None
+) -> dict:
+    """The body of :func:`run_cells` on a given executor, plus an optional
+    ``settled(key, value)`` hook called once per cell as it settles: resumed
+    cells first, then each executed cell as it is emitted (``None`` for a
+    cell that exhausted its retries)."""
     policy = policy or RetryPolicy()
     results: dict = {}
     pending: list[tuple] = []
@@ -380,6 +417,9 @@ def run_cells(
         get_metrics().counter("sweep.cells.resumed").inc(len(results))
         if progress is not None:
             progress(f"resumed {len(results)} cell(s) from {journal.path}")
+    if settled is not None:
+        for k, value in results.items():
+            settled(k, value)
     # A journaled run keeps a live status ledger (status.json beside the
     # journal) so `beaconplace top`/`status` can watch progress.  Nested
     # run_cells calls (one CLI command sweeping several panels) reuse the
@@ -403,10 +443,9 @@ def run_cells(
             results, journal, progress, key,
             ok=ok, value=value, attempts=attempts, error=error,
         )
+        if settled is not None:
+            settled(key, results[key])
 
-    owned = executor is None
-    if owned:
-        executor = make_executor(workers=workers, mp_context=mp_context)
     try:
         with get_tracer().span(
             "sweep.run_cells", cells=len(pending), workers=max(workers, 1)
@@ -417,8 +456,6 @@ def run_cells(
                 fingerprint=journal.fingerprint if journal is not None else None,
             )
     finally:
-        if owned:
-            executor.close()
         if live is not None:
             disable_live()
     return results
@@ -437,19 +474,25 @@ def _note_outcome(results, journal, progress, key, *, ok, value=None, attempts, 
 # -- Sweep drivers ----------------------------------------------------------
 
 
-def _mean_error_cell(args) -> float:
+def _mean_error_cell(args, model_factory=None) -> float:
     config, noise, count, index, faults, fault_time = args
-    world = build_world(config, noise, count, index, faults=faults, fault_time=fault_time)
+    world = build_world(
+        config, noise, count, index,
+        model_factory=model_factory, faults=faults, fault_time=fault_time,
+    )
     return world.error_surface().mean_error()
 
 
-def _improvement_cell(args) -> dict:
+def _improvement_cell(args, model_factory=None) -> dict:
     config, noise, count, index, faults, fault_time, algorithms = args
 
     def rng_for(name: str):
         return derive_rng(config.seed, "alg", name, noise, count, index)
 
-    world = build_world(config, noise, count, index, faults=faults, fault_time=fault_time)
+    world = build_world(
+        config, noise, count, index,
+        model_factory=model_factory, faults=faults, fault_time=fault_time,
+    )
     outcomes = run_placement_trial(world, list(algorithms), rng_for)
     return {
         o.algorithm: (o.improvement_mean, o.improvement_median) for o in outcomes
@@ -584,7 +627,106 @@ def _fault_extra(faults, fault_time) -> dict | None:
     return {"faults": described, "time": fault_time}
 
 
-def resilient_mean_error_curve(
+def _figure_cells(
+    fn: Callable,
+    config: ExperimentConfig,
+    noise: float,
+    cell_args: Callable[[int, int], tuple],
+    *,
+    fingerprint: str,
+    workers: int,
+    journal_path,
+    policy: RetryPolicy | None,
+    executor: CellExecutor | None,
+    model_factory,
+    progress: ProgressFn | None,
+    describe: Callable[[int, list], str],
+) -> dict:
+    """Run one figure sweep's ``(noise, count, field)`` cells.
+
+    The engine under both figure sweeps: ``cell_args(count, index)`` builds
+    each cell's argument tuple and :func:`run_cells` runs the cells on
+    ``executor`` (default: ``workers`` local processes; in-process for 1).
+
+    ``describe(count, values)`` builds the per-density progress line.  It
+    fires once per count, in ``config.beacon_counts`` order, as soon as that
+    count and every earlier one have settled.  The in-process executor this
+    function builds runs cells in config order, so each line fires as its
+    count's last cell settles; any other backend gets the heaviest counts
+    first (see :func:`_heaviest_first`).
+
+    Returns:
+        ``{count: [value per field index, None where the cell degraded]}``
+        in config order.
+
+    Raises:
+        ValueError: if ``model_factory`` is combined with a journal or with
+            a backend other than the serial executor.
+    """
+    if model_factory is not None:
+        in_process = workers == 1 if executor is None else isinstance(executor, SerialExecutor)
+        if journal_path is not None or not in_process:
+            raise ValueError(
+                "model_factory runs only on the serial executor without a "
+                "journal: a custom model family has no stable journal "
+                "fingerprint, and its closure does not pickle to pool or "
+                "socket workers"
+            )
+        # No batch planner matches the bound cell, so it runs scalar.
+        fn = functools.partial(fn, model_factory=model_factory)
+    counts = [int(count) for count in config.beacon_counts]
+    fields = config.fields_per_density
+    values = {count: [None] * fields for count in counts}
+    unsettled = {count: fields for count in counts}
+    reported = 0
+
+    def settled(key, value):
+        nonlocal reported
+        _, count, index = key
+        values[count][index] = value
+        unsettled[count] -= 1
+        while reported < len(counts) and unsettled[counts[reported]] == 0:
+            if progress is not None:
+                progress(describe(counts[reported], values[counts[reported]]))
+            reported += 1
+
+    owned = executor is None
+    if owned:
+        # Built here, not inside run_cells, so shared world state can be
+        # published on a pool before its first dispatch.
+        executor = make_executor(workers=workers)
+    order = counts if owned and isinstance(executor, SerialExecutor) else _heaviest_first(counts)
+    jobs = [
+        ((noise, count, index), cell_args(count, index))
+        for count in order
+        for index in range(fields)
+    ]
+    journal = shared = None
+    try:
+        journal = _open_journal(journal_path, fingerprint)
+        shared = publish_for_executor(executor, config, noises=[noise])
+        _execute_cells(jobs, fn, workers, policy, journal, progress, executor, settled)
+    finally:
+        if shared is not None:
+            executor.shared_handle = None
+            shared.unlink()
+        if owned:
+            executor.close()
+        if journal is not None:
+            journal.close()
+    return values
+
+
+def _samples(values: list, pick: Callable = float) -> np.ndarray:
+    """One count's samples: ``pick(value)`` per field, NaN where degraded."""
+    return np.array([np.nan if v is None else pick(v) for v in values], dtype=float)
+
+
+def _failed_cells(cells: dict) -> int:
+    return sum(v is None for values in cells.values() for v in values)
+
+
+def mean_error_curve(
     config: ExperimentConfig,
     noise: float,
     *,
@@ -592,87 +734,66 @@ def resilient_mean_error_curve(
     journal_path=None,
     policy: RetryPolicy | None = None,
     label: str | None = None,
+    model_factory: Callable[[float], PropagationModel] | None = None,
     faults=None,
     fault_time: float = 0.0,
     progress: ProgressFn | None = None,
     executor: CellExecutor | None = None,
 ) -> Curve:
-    """Figure 4/6 series with checkpointing, retries and NaN degradation.
+    """Mean localization error vs beacon density (Figures 4 and 6).
 
-    With no journal, no failures and ``workers <= 1`` this is byte-identical
-    to :func:`repro.sim.mean_error_curve`; with a journal it resumes an
-    interrupted run and still produces the identical curve.
+    Every ``(count, field)`` replication is one cell of :func:`run_cells`.
+    With the defaults the cells run in-process; ``workers``, ``executor``
+    and ``journal_path`` move or checkpoint the same cells, and the curve is
+    bit-identical either way (a resumed journal included).  A cell that
+    raises is retried under ``policy`` and then degrades to NaN: the curve
+    drops it, records per-point coverage in ``meta["coverage"]`` and the
+    failed-cell count in ``meta["failed_cells"]``.
 
     Args:
-        config: experiment parameters.
+        config: experiment parameters (counts, replications, seed …).
         noise: the model's noise level for every cell.
-        workers: process count (``<= 1`` = in-process).
+        workers: local process count when no ``executor`` is given (1 =
+            in-process).
         journal_path: JSONL checkpoint path (next to your CSV output);
             ``None`` disables checkpointing.
-        policy: per-cell retry/timeout policy.
-        label: series label override.
+        policy: per-cell retry/timeout policy (default :class:`RetryPolicy`).
+        label: series label; defaults to ``"Noise=x"`` / ``"Ideal"``.
+        model_factory: override the propagation family (ablations); serial
+            executor and no journal only.
         faults: optional :class:`repro.faults.FaultModel` degrading every
             world (see :func:`repro.sim.build_world`).
         fault_time: snapshot time for ``faults``.
-        progress: optional status callback.
-        executor: run cells on this backend instead of ``workers`` local
-            processes (see :mod:`repro.sim.executors`); stays open for the
+        progress: optional status callback: one line per density, in config
+            order, plus resume and failure lines.
+        executor: run cells on this backend (see :mod:`repro.sim.executors`)
+            instead of ``workers`` local processes; stays open for the
             caller to reuse.
     """
     if label is None:
         label = "Ideal" if noise == 0.0 else f"Noise={noise:g}"
-    fingerprint = sweep_fingerprint("mean-error", config, _fault_extra(faults, fault_time))
-    journal = _open_journal(journal_path, fingerprint)
-    jobs = [
-        ((noise, count, index), (config, noise, count, index, faults, fault_time))
-        for count in _heaviest_first(config.beacon_counts)
-        for index in range(config.fields_per_density)
-    ]
-    shared = None
-    owned_executor = None
-    if executor is None and workers > 1:
-        # Build the pool here (instead of inside run_cells) so the shared
-        # world state can be published on it before the first dispatch.
-        owned_executor = executor = make_executor(workers=workers)
-    try:
-        shared = publish_for_executor(executor, config, noises=[noise])
-        cells = run_cells(
-            jobs, _mean_error_cell,
-            workers=workers, policy=policy, journal=journal, progress=progress,
-            executor=executor,
-        )
-    finally:
-        if shared is not None:
-            executor.shared_handle = None
-            shared.unlink()
-        if owned_executor is not None:
-            owned_executor.close()
-        if journal is not None:
-            journal.close()
-    samples_per_count = []
-    failed = 0
-    for count in config.beacon_counts:
-        samples = np.empty(config.fields_per_density)
-        for index in range(config.fields_per_density):
-            value = cells[_canon_key((noise, count, index))]
-            if value is None:
-                failed += 1
-                samples[index] = np.nan
-            else:
-                samples[index] = value
-        samples_per_count.append(samples)
+    cells = _figure_cells(
+        _mean_error_cell, config, noise,
+        lambda count, index: (config, noise, count, index, faults, fault_time),
+        fingerprint=sweep_fingerprint("mean-error", config, _fault_extra(faults, fault_time)),
+        workers=workers, journal_path=journal_path, policy=policy,
+        executor=executor, model_factory=model_factory, progress=progress,
+        describe=lambda count, values: (
+            f"{label}: count={count} mean={_samples(values).mean():.2f} m"
+        ),
+    )
     curve = Curve.from_samples(
         label,
         config.beacon_counts,
         config.densities(),
-        samples_per_count,
+        [_samples(values) for values in cells.values()],
         confidence=config.confidence,
     )
-    curve.meta["failed_cells"] = failed
+    curve.meta["failed_cells"] = _failed_cells(cells)
     return curve
 
 
-def resilient_placement_improvement_curves(
+def placement_improvement_curves(
     config: ExperimentConfig,
     noise: float,
     algorithms: Sequence[PlacementAlgorithm],
@@ -680,84 +801,57 @@ def resilient_placement_improvement_curves(
     workers: int = 1,
     journal_path=None,
     policy: RetryPolicy | None = None,
+    model_factory: Callable[[float], PropagationModel] | None = None,
     faults=None,
     fault_time: float = 0.0,
     progress: ProgressFn | None = None,
     executor: CellExecutor | None = None,
 ) -> tuple[CurveSet, CurveSet]:
-    """Figure 5/7–9 series with checkpointing, retries and NaN degradation.
+    """Improvement in mean and median error vs density (Figures 5, 7–9).
 
-    Failure of a cell degrades that replication to NaN for *every*
-    algorithm (the comparison stays paired); per-point coverage lands in
-    each curve's ``meta["coverage"]`` and the failed-cell total in the
-    curve sets' ``meta["failed_cells"]``.  See
-    :func:`resilient_mean_error_curve` for the argument semantics.
+    Every algorithm sees the same worlds and the same surveys; each draws
+    decisions from its own named RNG substream.  A failed cell degrades
+    that replication to NaN for *every* algorithm (the comparison stays
+    paired); per-point coverage lands in each curve's ``meta["coverage"]``
+    and the failed-cell total in the curve sets' ``meta["failed_cells"]``.
+    See :func:`mean_error_curve` for the keyword arguments.
+
+    Returns:
+        ``(mean_improvements, median_improvements)`` — two curve sets with
+        one series per algorithm.
     """
     names = [a.name for a in algorithms]
     if len(set(names)) != len(names):
         raise ValueError(f"algorithm names must be unique, got {names}")
-    fingerprint = sweep_fingerprint(
-        "improvement", config,
-        {"algorithms": names, **(_fault_extra(faults, fault_time) or {})},
+
+    def describe(count, values):
+        gains = ", ".join(
+            f"{n}={_samples(values, lambda v: v[n][0]).mean():.3f}" for n in names
+        )
+        return f"noise={noise:g} count={count}: mean gains {gains} m"
+
+    cells = _figure_cells(
+        _improvement_cell, config, noise,
+        lambda count, index: (
+            config, noise, count, index, faults, fault_time, tuple(algorithms)
+        ),
+        fingerprint=sweep_fingerprint(
+            "improvement", config,
+            {"algorithms": names, **(_fault_extra(faults, fault_time) or {})},
+        ),
+        workers=workers, journal_path=journal_path, policy=policy,
+        executor=executor, model_factory=model_factory, progress=progress,
+        describe=describe,
     )
-    journal = _open_journal(journal_path, fingerprint)
-    jobs = [
-        (
-            (noise, count, index),
-            (config, noise, count, index, faults, fault_time, tuple(algorithms)),
-        )
-        for count in _heaviest_first(config.beacon_counts)
-        for index in range(config.fields_per_density)
-    ]
-    shared = None
-    owned_executor = None
-    if executor is None and workers > 1:
-        owned_executor = executor = make_executor(workers=workers)
-    try:
-        shared = publish_for_executor(executor, config, noises=[noise])
-        cells = run_cells(
-            jobs, _improvement_cell,
-            workers=workers, policy=policy, journal=journal, progress=progress,
-            executor=executor,
-        )
-    finally:
-        if shared is not None:
-            executor.shared_handle = None
-            shared.unlink()
-        if owned_executor is not None:
-            owned_executor.close()
-        if journal is not None:
-            journal.close()
+    failed = _failed_cells(cells)
 
-    mean_samples = {n: [] for n in names}
-    median_samples = {n: [] for n in names}
-    failed = 0
-    for count in config.beacon_counts:
-        cell_mean = {n: np.empty(config.fields_per_density) for n in names}
-        cell_median = {n: np.empty(config.fields_per_density) for n in names}
-        for index in range(config.fields_per_density):
-            value = cells[_canon_key((noise, count, index))]
-            if value is None:
-                failed += 1
-                for n in names:
-                    cell_mean[n][index] = np.nan
-                    cell_median[n][index] = np.nan
-            else:
-                for n in names:
-                    pair = value[n]
-                    cell_mean[n][index] = pair[0]
-                    cell_median[n][index] = pair[1]
-        for n in names:
-            mean_samples[n].append(cell_mean[n])
-            median_samples[n].append(cell_median[n])
-
-    def to_set(samples: dict, metric: str) -> CurveSet:
+    def to_set(metric: str, which: int) -> CurveSet:
         curves = [
             Curve.from_samples(
                 n,
                 config.beacon_counts,
                 config.densities(),
-                samples[n],
+                [_samples(values, lambda v: v[n][which]) for values in cells.values()],
                 confidence=config.confidence,
             )
             for n in names
@@ -774,4 +868,10 @@ def resilient_placement_improvement_curves(
             },
         )
 
-    return to_set(mean_samples, "mean"), to_set(median_samples, "median")
+    return to_set("mean", 0), to_set("median", 1)
+
+
+#: The names the checkpointed sweeps were published under; the same
+#: function objects as the figure sweeps.
+resilient_mean_error_curve = mean_error_curve
+resilient_placement_improvement_curves = placement_improvement_curves

@@ -1,15 +1,19 @@
-"""Density/noise sweeps — the §4 evaluation methodology, end to end.
+"""World construction for the §4 density/noise sweeps.
 
 For every (beacon count, noise) cell the paper generates 1000 uniform-random
 fields, runs each placement algorithm on every field, and reports means with
-95 % confidence intervals.  These drivers reproduce that pipeline:
+95 % confidence intervals.  This module maps one replication to its world:
 
 * :func:`build_world` — the (count, noise, field-index) → world mapping, a
   pure function of the config seed so any slice of the sweep is reproducible
   in isolation;
-* :func:`mean_error_curve` — mean LE vs density (Figures 4 and 6);
-* :func:`placement_improvement_curves` — improvement in mean/median error vs
-  density for a set of algorithms (Figures 5, 7, 8, 9).
+* :func:`default_model_factory` — the paper's propagation family.
+
+The figure sweeps that run these worlds —
+:func:`~repro.sim.mean_error_curve` (Figures 4 and 6) and
+:func:`~repro.sim.placement_improvement_curves` (Figures 5, 7–9) — live in
+:mod:`repro.sim.resilient`, on the one cell engine
+(:func:`~repro.sim.run_cells`) every backend shares.
 
 Fields are shared across algorithms within a cell (as in the paper) and the
 field *geometry* is shared across noise levels (a variance-reduction choice
@@ -18,14 +22,11 @@ the paper doesn't specify; it only sharpens the noise comparisons).
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Callable
 
 from ..faults import FaultModel, apply_faults
 from ..field import random_uniform_field
-from ..obs import get_metrics, get_profile, get_tracer
-from ..placement import PlacementAlgorithm
+from ..obs import get_metrics, get_profile
 from ..radio import BeaconNoiseModel, PropagationModel
 from .config import ExperimentConfig
 from .executors.cache import (
@@ -35,18 +36,10 @@ from .executors.cache import (
     cached_localizer,
     cached_realization,
 )
-from .results import Curve, CurveSet
 from .rng import derive_rng
-from .trial import TrialOutcome, TrialWorld, run_placement_trial
+from .trial import TrialWorld
 
-__all__ = [
-    "build_world",
-    "mean_error_curve",
-    "placement_improvement_curves",
-    "default_model_factory",
-]
-
-ProgressFn = Callable[[str], None]
+__all__ = ["build_world", "default_model_factory"]
 
 
 def default_model_factory(config: ExperimentConfig) -> Callable[[float], PropagationModel]:
@@ -134,121 +127,3 @@ def build_world(
             layout=cached_layout(config.side, config.radio_range, config.num_grids),
             localizer=localizer,
         )
-
-
-def mean_error_curve(
-    config: ExperimentConfig,
-    noise: float,
-    *,
-    label: str | None = None,
-    model_factory: Callable[[float], PropagationModel] | None = None,
-    progress: ProgressFn | None = None,
-) -> Curve:
-    """Mean localization error vs beacon density (Figures 4 and 6).
-
-    Args:
-        config: experiment parameters (counts, replications, seed …).
-        noise: the model's noise level for every cell.
-        label: series label; defaults to ``"Noise=x"`` / ``"Ideal"``.
-        model_factory: override the propagation family (ablations).
-        progress: optional per-density progress callback.
-    """
-    if label is None:
-        label = "Ideal" if noise == 0.0 else f"Noise={noise:g}"
-    tracer = get_tracer()
-    cell_seconds = get_metrics().histogram("sweep.cell.seconds")
-    samples_per_count = []
-    for count in config.beacon_counts:
-        samples = np.empty(config.fields_per_density)
-        for i in range(config.fields_per_density):
-            with tracer.span("sweep.cell", noise=noise, count=count, index=i), \
-                    cell_seconds.time():
-                world = build_world(
-                    config, noise, count, i, model_factory=model_factory
-                )
-                samples[i] = world.error_surface().mean_error()
-        samples_per_count.append(samples)
-        if progress is not None:
-            progress(f"{label}: count={count} mean={samples.mean():.2f} m")
-    return Curve.from_samples(
-        label,
-        config.beacon_counts,
-        config.densities(),
-        samples_per_count,
-        confidence=config.confidence,
-    )
-
-
-def placement_improvement_curves(
-    config: ExperimentConfig,
-    noise: float,
-    algorithms: Sequence[PlacementAlgorithm],
-    *,
-    model_factory: Callable[[float], PropagationModel] | None = None,
-    progress: ProgressFn | None = None,
-) -> tuple[CurveSet, CurveSet]:
-    """Improvement in mean and median error vs density (Figures 5, 7–9).
-
-    Every algorithm sees the same worlds and the same surveys; each draws
-    decisions from its own named RNG substream.
-
-    Returns:
-        ``(mean_improvements, median_improvements)`` — two curve sets with
-        one series per algorithm.
-    """
-    names = [a.name for a in algorithms]
-    if len(set(names)) != len(names):
-        raise ValueError(f"algorithm names must be unique, got {names}")
-
-    tracer = get_tracer()
-    cell_seconds = get_metrics().histogram("sweep.cell.seconds")
-    mean_samples = {n: [] for n in names}
-    median_samples = {n: [] for n in names}
-    for count in config.beacon_counts:
-        cell_mean = {n: np.empty(config.fields_per_density) for n in names}
-        cell_median = {n: np.empty(config.fields_per_density) for n in names}
-        for i in range(config.fields_per_density):
-            with tracer.span("sweep.cell", noise=noise, count=count, index=i), \
-                    cell_seconds.time():
-                world = build_world(
-                    config, noise, count, i, model_factory=model_factory
-                )
-
-                def rng_for(alg_name: str, _i=i, _count=count):
-                    return derive_rng(config.seed, "alg", alg_name, noise, _count, _i)
-
-                outcomes: list[TrialOutcome] = run_placement_trial(
-                    world, list(algorithms), rng_for
-                )
-            for outcome in outcomes:
-                cell_mean[outcome.algorithm][i] = outcome.improvement_mean
-                cell_median[outcome.algorithm][i] = outcome.improvement_median
-        for n in names:
-            mean_samples[n].append(cell_mean[n])
-            median_samples[n].append(cell_median[n])
-        if progress is not None:
-            gains = ", ".join(f"{n}={cell_mean[n].mean():.3f}" for n in names)
-            progress(f"noise={noise:g} count={count}: mean gains {gains} m")
-
-    def to_set(samples: dict, metric: str) -> CurveSet:
-        curves = [
-            Curve.from_samples(
-                n,
-                config.beacon_counts,
-                config.densities(),
-                samples[n],
-                confidence=config.confidence,
-            )
-            for n in names
-        ]
-        return CurveSet(
-            title=f"Improvement in {metric} error (noise={noise:g})",
-            curves=curves,
-            meta={
-                "noise": noise,
-                "fields_per_density": config.fields_per_density,
-                "metric": metric,
-            },
-        )
-
-    return to_set(mean_samples, "mean"), to_set(median_samples, "median")

@@ -123,6 +123,48 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Figure 5a" in out and "Figure 5b" in out
 
+    def test_reproduce_fig5_one_engine_byte_identical(self, capsys, tmp_path):
+        """No flags, --journal and --workers 2 run one engine: same CSVs."""
+        base = ["--fields", "2", "--counts", "8,20"]
+        runs = {
+            "plain": [],
+            "journal": ["--journal", str(tmp_path / "fig5.jsonl")],
+            "pool": ["--workers", "2"],
+        }
+        for name, flags in runs.items():
+            csv_path = tmp_path / f"{name}.csv"
+            assert main(base + flags + ["--csv", str(csv_path), "reproduce", "fig5"]) == 0
+        capsys.readouterr()
+        for suffix in ("_mean", "_median"):
+            plain = (tmp_path / f"plain{suffix}.csv").read_bytes()
+            for name in ("journal", "pool"):
+                assert (tmp_path / f"{name}{suffix}.csv").read_bytes() == plain
+
+    def test_reproduce_reports_nan_degraded_cells(self, capsys, tmp_path, monkeypatch):
+        from repro.sim import RetryPolicy, resilient
+
+        real = resilient.build_world
+
+        def broken_for_one_key(config, noise, count, index, **kwargs):
+            if (count, index) == (20, 1):
+                raise RuntimeError("injected")
+            return real(config, noise, count, index, **kwargs)
+
+        monkeypatch.setattr(resilient, "build_world", broken_for_one_key)
+        monkeypatch.setattr(RetryPolicy, "sleep_before", lambda self, attempt: None)
+        csv_path = tmp_path / "fig4.csv"
+        argv = ["--fields", "2", "--counts", "8,20", "--csv", str(csv_path), "reproduce"]
+        assert main(argv + ["fig4"]) == 0
+        err = capsys.readouterr().err
+        assert "warning: 1 cell(s) exhausted retries (NaN-degraded)" in err
+        rows = csv_path.read_text().splitlines()
+        assert rows[0].endswith(",num_samples,coverage")
+        assert rows[1].endswith(",2,1.0") and rows[2].endswith(",1,0.5")
+
+        assert main(argv + ["fig7"]) == 0
+        # Figure 7 sweeps every paper noise level; each panel loses the cell.
+        assert "warning: 4 cell(s) exhausted retries" in capsys.readouterr().err
+
     def test_survey_command(self, capsys):
         code = main(
             ["--counts", "20", "survey", "--beacons", "20", "--path", "spiral",

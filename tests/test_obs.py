@@ -363,8 +363,8 @@ class TestTracer:
 
         _, records = read_trace(path)
         cells = [r["attrs"] for r in records if r["name"] == "sweep.cell"]
-        assert [c["count"] for c in cells] == [4, 8]
-        assert all(type(c["count"]) is int for c in cells)
+        assert [c["key"] for c in cells] == [[0.0, 4, 0], [0.0, 8, 0]]
+        assert all(type(c["key"][1]) is int for c in cells)
         assert records[-2]["attrs"] == {"n": 3, "flags": [True, False]}
         assert records[-1]["attrs"] == {"key": [0.5, 8]}
 

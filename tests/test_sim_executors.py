@@ -27,6 +27,8 @@ from repro.sim import (
     SweepJournal,
     WorkerRejected,
     make_executor,
+    mean_error_curve,
+    placement_improvement_curves,
     resilient_mean_error_curve,
     resilient_placement_improvement_curves,
     run_cells,
@@ -358,6 +360,34 @@ class TestFactory:
         assert span["span"]
 
 
+class TestWorkerValidation:
+    def test_oversubscription_warns_but_allows(self):
+        from repro.sim import validate_workers
+
+        too_many = (os.cpu_count() or 1) + 1
+        with pytest.warns(RuntimeWarning, match="oversubscribes"):
+            assert validate_workers(too_many) == too_many
+
+    def test_sane_count_is_silent(self):
+        import warnings
+
+        from repro.sim import validate_workers
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert validate_workers(1) == 1
+
+    def test_spawn_context_pinned(self):
+        assert spawn_context().get_start_method() == "spawn"
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_run_cells_rejects_bad_workers(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_cells([((1,), 1)], _double, workers=workers)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            make_executor(workers=workers)
+
+
 # -- Local backends ----------------------------------------------------------
 
 
@@ -369,6 +399,58 @@ class TestPoolChunking:
         with PoolExecutor(workers=2, chunk=1) as per_cell:
             fine = run_cells(jobs, _double, executor=per_cell)
         assert coarse == fine == {(i,): i * 2 for i in range(7)}
+
+
+class TestSerialPlanningCap:
+    """The serial executor plans at most MAX_CHUNK cells per kernel pass."""
+
+    @pytest.fixture
+    def config(self, tiny_config):
+        return tiny_config.with_counts([8, 20]).with_fields(20)  # 40 cells
+
+    @pytest.fixture
+    def warm_sizes(self, monkeypatch):
+        from repro.sim import resilient
+
+        sizes = []
+        real = resilient.warm_worlds
+
+        def spy(worlds, **kwargs):
+            sizes.append(len(worlds))
+            return real(worlds, **kwargs)
+
+        monkeypatch.setattr(resilient, "warm_worlds", spy)
+        return sizes
+
+    def test_no_warm_pass_exceeds_the_cap(self, config, warm_sizes):
+        from repro.sim.executors.local import MAX_CHUNK
+
+        assert MAX_CHUNK == auto_chunk(10**6, 1) == 16
+        mean_error_curve(config, 0.3)
+        placement_improvement_curves(config, 0.3, [RandomPlacement(), MaxPlacement()])
+        assert warm_sizes and max(warm_sizes) <= MAX_CHUNK
+        # Each sweep warms each of its 40 worlds exactly once.
+        assert sum(warm_sizes) == 2 * 40
+
+    def test_curves_identical_to_one_block(self, config, warm_sizes, monkeypatch):
+        """The cap changes memory, never bits: the same sweep planned as a
+        single 128-cell block gives identical curves."""
+        import repro.sim.executors.local as local
+
+        algorithms = [RandomPlacement(), MaxPlacement()]
+        capped = mean_error_curve(config, 0.3)
+        capped_sets = placement_improvement_curves(config, 0.3, algorithms)
+        warm_sizes.clear()
+        monkeypatch.setattr(local, "MAX_CHUNK", 128)
+        whole = mean_error_curve(config, 0.3)
+        whole_sets = placement_improvement_curves(config, 0.3, algorithms)
+        assert max(warm_sizes) == 40  # really one block this time
+        assert capped.values == whole.values
+        assert capped.ci_half_widths == whole.ci_half_widths
+        for capped_set, whole_set in zip(capped_sets, whole_sets):
+            for a, b in zip(capped_set.curves, whole_set.curves):
+                assert a.values == b.values
+                assert a.ci_half_widths == b.ci_half_widths
 
 
 class _RecordingSerial(SerialExecutor):
