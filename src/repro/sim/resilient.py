@@ -648,12 +648,17 @@ def _figure_cells(
     each cell's argument tuple and :func:`run_cells` runs the cells on
     ``executor`` (default: ``workers`` local processes; in-process for 1).
 
+    The backend decides how cells are handed out.  On the serial executor
+    they run in config order and unplanned — each world is built, run and
+    dropped before the next, so memory holds one world and the trial
+    computes its own connectivity.  Pool and socket backends get the
+    heaviest counts first (see :func:`_heaviest_first`) and batch-plan each
+    chunk.  The curves are bit-identical either way.
+
     ``describe(count, values)`` builds the per-density progress line.  It
     fires once per count, in ``config.beacon_counts`` order, as soon as that
-    count and every earlier one have settled.  The in-process executor this
-    function builds runs cells in config order, so each line fires as its
-    count's last cell settles; any other backend gets the heaviest counts
-    first (see :func:`_heaviest_first`).
+    count and every earlier one have settled — on the serial executor, as
+    the count's last cell settles.
 
     Returns:
         ``{count: [value per field index, None where the cell degraded]}``
@@ -663,17 +668,6 @@ def _figure_cells(
         ValueError: if ``model_factory`` is combined with a journal or with
             a backend other than the serial executor.
     """
-    if model_factory is not None:
-        in_process = workers == 1 if executor is None else isinstance(executor, SerialExecutor)
-        if journal_path is not None or not in_process:
-            raise ValueError(
-                "model_factory runs only on the serial executor without a "
-                "journal: a custom model family has no stable journal "
-                "fingerprint, and its closure does not pickle to pool or "
-                "socket workers"
-            )
-        # No batch planner matches the bound cell, so it runs scalar.
-        fn = functools.partial(fn, model_factory=model_factory)
     counts = [int(count) for count in config.beacon_counts]
     fields = config.fields_per_density
     values = {count: [None] * fields for count in counts}
@@ -695,14 +689,25 @@ def _figure_cells(
         # Built here, not inside run_cells, so shared world state can be
         # published on a pool before its first dispatch.
         executor = make_executor(workers=workers)
-    order = counts if owned and isinstance(executor, SerialExecutor) else _heaviest_first(counts)
-    jobs = [
-        ((noise, count, index), cell_args(count, index))
-        for count in order
-        for index in range(fields)
-    ]
     journal = shared = None
     try:
+        serial = isinstance(executor, SerialExecutor)
+        if model_factory is not None and (journal_path is not None or not serial):
+            raise ValueError(
+                "model_factory runs only on the serial executor without a "
+                "journal: a custom model family has no stable journal "
+                "fingerprint, and its closure does not pickle to pool or "
+                "socket workers"
+            )
+        if serial:
+            # A bound cell matches no batch planner, so each cell runs scalar.
+            bound = {} if model_factory is None else {"model_factory": model_factory}
+            fn = functools.partial(fn, **bound)
+        jobs = [
+            ((noise, count, index), cell_args(count, index))
+            for count in (counts if serial else _heaviest_first(counts))
+            for index in range(fields)
+        ]
         journal = _open_journal(journal_path, fingerprint)
         shared = publish_for_executor(executor, config, noises=[noise])
         _execute_cells(jobs, fn, workers, policy, journal, progress, executor, settled)

@@ -357,6 +357,8 @@ class TestTracer:
         path = tmp_path / "trace.jsonl"
         tracer = enable_tracing(path)
         mean_error_curve(config, 0.0)
+        with tracer.span("span", count=config.beacon_counts[0]):
+            pass
         tracer.event("tick", n=np.int64(3), flags=np.array([True, False]))
         tracer.record_span("remote", 0.5, key=(np.float32(0.5), np.int32(8)))
         disable_tracing()
@@ -365,6 +367,8 @@ class TestTracer:
         cells = [r["attrs"] for r in records if r["name"] == "sweep.cell"]
         assert [c["key"] for c in cells] == [[0.0, 4, 0], [0.0, 8, 0]]
         assert all(type(c["key"][1]) is int for c in cells)
+        span = next(r["attrs"] for r in records if r["name"] == "span")
+        assert span == {"count": 4} and type(span["count"]) is int
         assert records[-2]["attrs"] == {"n": 3, "flags": [True, False]}
         assert records[-1]["attrs"] == {"key": [0.5, 8]}
 

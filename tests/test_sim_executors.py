@@ -20,6 +20,7 @@ from repro.obs import (
 )
 from repro.placement import MaxPlacement, RandomPlacement
 from repro.sim import (
+    CellExecutor,
     PoolExecutor,
     RetryPolicy,
     SerialExecutor,
@@ -54,6 +55,7 @@ from repro.sim.executors.wire import (
     recv_frame,
     send_frame,
 )
+from repro.sim.resilient import _improvement_cell, _mean_error_cell
 
 
 def _double(args):
@@ -422,39 +424,56 @@ class TestSerialPlanningCap:
         monkeypatch.setattr(resilient, "warm_worlds", spy)
         return sizes
 
+    @staticmethod
+    def sweeps(config):
+        """The Figure 4 and Figure 5 cells of ``config`` through run_cells
+        on a serial executor, so the batch planners engage."""
+        algorithms = (RandomPlacement(), MaxPlacement())
+        keys = [
+            (count, index)
+            for count in config.beacon_counts
+            for index in range(config.fields_per_density)
+        ]
+        with SerialExecutor() as executor:
+            means = run_cells(
+                [(key, (config, 0.3, *key, None, 0.0)) for key in keys],
+                _mean_error_cell, executor=executor,
+            )
+            gains = run_cells(
+                [(key, (config, 0.3, *key, None, 0.0, algorithms)) for key in keys],
+                _improvement_cell, executor=executor,
+            )
+        return means, gains
+
     def test_no_warm_pass_exceeds_the_cap(self, config, warm_sizes):
         from repro.sim.executors.local import MAX_CHUNK
 
         assert MAX_CHUNK == auto_chunk(10**6, 1) == 16
-        mean_error_curve(config, 0.3)
-        placement_improvement_curves(config, 0.3, [RandomPlacement(), MaxPlacement()])
+        self.sweeps(config)
         assert warm_sizes and max(warm_sizes) <= MAX_CHUNK
         # Each sweep warms each of its 40 worlds exactly once.
         assert sum(warm_sizes) == 2 * 40
 
-    def test_curves_identical_to_one_block(self, config, warm_sizes, monkeypatch):
-        """The cap changes memory, never bits: the same sweep planned as a
-        single 128-cell block gives identical curves."""
+    def test_values_identical_to_one_block_and_to_scalar(
+        self, config, warm_sizes, monkeypatch
+    ):
+        """The cap changes memory, never bits: the same cells planned as a
+        single 128-cell block, or run unplanned, give identical values."""
         import repro.sim.executors.local as local
 
-        algorithms = [RandomPlacement(), MaxPlacement()]
-        capped = mean_error_curve(config, 0.3)
-        capped_sets = placement_improvement_curves(config, 0.3, algorithms)
+        capped = self.sweeps(config)
         warm_sizes.clear()
         monkeypatch.setattr(local, "MAX_CHUNK", 128)
-        whole = mean_error_curve(config, 0.3)
-        whole_sets = placement_improvement_curves(config, 0.3, algorithms)
+        whole = self.sweeps(config)
         assert max(warm_sizes) == 40  # really one block this time
-        assert capped.values == whole.values
-        assert capped.ci_half_widths == whole.ci_half_widths
-        for capped_set, whole_set in zip(capped_sets, whole_sets):
-            for a, b in zip(capped_set.curves, whole_set.curves):
-                assert a.values == b.values
-                assert a.ci_half_widths == b.ci_half_widths
+        assert capped == whole
+        for (count, index), value in capped[0].items():
+            assert value == _mean_error_cell((config, 0.3, count, index, None, 0.0))
 
 
-class _RecordingSerial(SerialExecutor):
-    """A serial executor that records the order cells are handed to it."""
+class _Recording(CellExecutor):
+    """A non-serial backend (so sweeps dispatch heaviest-first) that records
+    the order cells are handed to it and runs them in-process."""
 
     def __init__(self):
         self.keys = []
@@ -462,7 +481,7 @@ class _RecordingSerial(SerialExecutor):
     def execute(self, pending, fn, **kwargs):
         pending = list(pending)
         self.keys.extend(key for key, _ in pending)
-        super().execute(pending, fn, **kwargs)
+        SerialExecutor().execute(pending, fn, **kwargs)
 
 
 class TestDispatchOrder:
@@ -470,7 +489,7 @@ class TestDispatchOrder:
     pool's last chunks are its cheapest; the curves keep the config order."""
 
     def test_mean_error_curve_dispatches_largest_count_first(self, tiny_config):
-        recorder = _RecordingSerial()
+        recorder = _Recording()
         curve = resilient_mean_error_curve(tiny_config, 0.3, executor=recorder)
         counts = [key[1] for key in recorder.keys]
         assert counts == sorted(counts, reverse=True)
@@ -479,7 +498,7 @@ class TestDispatchOrder:
         assert curve.values == resilient_mean_error_curve(tiny_config, 0.3).values
 
     def test_improvement_curves_dispatch_largest_count_first(self, tiny_config):
-        recorder = _RecordingSerial()
+        recorder = _Recording()
         config = tiny_config.with_counts([8, 20])
         resilient_placement_improvement_curves(
             config, 0.0, [RandomPlacement()], executor=recorder

@@ -130,8 +130,8 @@ class TestOneEngine:
         assert resilient_placement_improvement_curves is placement_improvement_curves
 
     def test_workers_one_matches_serial(self, tiny_config):
-        """The default path (config order) and a caller-supplied serial
-        executor (heaviest count first) give the same curve."""
+        """The default path and a caller-supplied serial executor give the
+        same curve."""
         default = mean_error_curve(tiny_config, 0.3, workers=1)
         explicit = mean_error_curve(tiny_config, 0.3, executor=SerialExecutor())
         assert explicit.values == default.values
@@ -199,7 +199,7 @@ class TestOneEngine:
     def test_progress_keeps_config_order_on_other_backends(self, tiny_config):
         """Heaviest-first dispatch never reorders the per-density lines."""
         lines = []
-        with SerialExecutor() as executor:
+        with make_executor("pool", workers=2) as executor:
             mean_error_curve(tiny_config, 0.0, progress=lines.append, executor=executor)
         counts = [int(line.split("count=")[1].split()[0]) for line in lines]
         assert counts == list(tiny_config.beacon_counts)
@@ -244,6 +244,27 @@ class TestOneEngine:
             )
         assert not (tmp_path / "j.jsonl").exists()
 
+    def test_serial_sweeps_run_unplanned(self, tiny_config, algorithms, monkeypatch):
+        """On the serial executor no world is pre-warmed: each trial computes
+        its own connectivity, one world at a time."""
+        from repro.sim import resilient
+        from repro.sim.trial import TrialWorld
+
+        warmed, connected = [], []
+        real_connectivity = TrialWorld.connectivity
+
+        def spy(world):
+            connected.append(len(world.field))
+            return real_connectivity(world)
+
+        monkeypatch.setattr(resilient, "warm_worlds", warmed.append)
+        monkeypatch.setattr(TrialWorld, "connectivity", spy)
+        config = tiny_config.with_counts([8, 20])
+        mean_error_curve(config, 0.3)
+        placement_improvement_curves(config, 0.3, algorithms, executor=SerialExecutor())
+        assert warmed == []
+        assert set(connected) >= {8, 20}
+
     def test_failing_cell_degrades_on_the_default_path(self, tiny_config, monkeypatch):
         """A cell that raises is retried, then NaN-degraded — the in-process
         default no longer lets the exception escape the sweep."""
@@ -264,5 +285,5 @@ class TestOneEngine:
         assert curve.meta["failed_cells"] == 1
         assert curve.num_samples == (3, 2, 3)
         assert curve.coverage()[1] == pytest.approx(2 / 3)
-        # Planned once (batch pass), then three scalar attempts.
-        assert len(calls) == 1 + RetryPolicy().max_attempts
+        # The serial executor runs cells unplanned: three scalar attempts.
+        assert len(calls) == RetryPolicy().max_attempts
