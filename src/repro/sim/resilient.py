@@ -700,7 +700,9 @@ def _figure_cells(
                 "socket workers"
             )
         if serial:
-            # A bound cell matches no batch planner, so each cell runs scalar.
+            # A bound cell matches no batch planner, so each cell runs
+            # scalar: one world in memory at a time, and each trial computes
+            # its own connectivity, as perfbench's tracer self-test expects.
             bound = {} if model_factory is None else {"model_factory": model_factory}
             fn = functools.partial(fn, **bound)
         jobs = [
