@@ -10,8 +10,8 @@ pipeline stays byte-identical and within a <3% overhead budget
   numbers back to the sweep parent;
 * :mod:`repro.obs.trace` — span tracing to append-only JSONL, same
   conventions as the sweep journal (flushed lines, tolerated partial tail);
-* :mod:`repro.obs.profiling` — opt-in cProfile + per-stage wall-clock
-  breakdown behind the CLI's ``--profile``.
+* :mod:`repro.obs.profiling` — opt-in cProfile + the per-stage breakdown
+  of the ``stage.<name>.seconds`` histograms behind the CLI's ``--profile``.
 
 :class:`ObsSession` bundles them for the CLI: ``--trace DIR`` routes spans
 to ``DIR/trace.jsonl`` and the final metrics snapshot to
@@ -54,7 +54,6 @@ from .profiling import (
     ProfileSession,
     disable_profiling,
     enable_profiling,
-    get_profile,
 )
 from .summary import (
     JournalMergeStats,
@@ -110,7 +109,6 @@ __all__ = [
     "tracing_enabled",
     "read_trace",
     "ProfileSession",
-    "get_profile",
     "enable_profiling",
     "disable_profiling",
     "LiveStatus",

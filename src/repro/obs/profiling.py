@@ -1,13 +1,17 @@
-"""Opt-in profiling: wall-clock stage sections plus a cProfile capture.
+"""Opt-in profiling: a per-stage breakdown plus a cProfile capture.
 
 The ``--profile`` CLI flag wraps a whole command in a
 :class:`ProfileSession`.  Two complementary views come out:
 
-* **stage sections** — instrumented code brackets coarse stages with
-  ``session.section("sweep")``; the report is a per-stage wall-clock
-  breakdown table (count, total, mean, share of profiled time).  Stages
-  answer "where does the run spend its time" at the granularity the
-  methodology cares about (trial RNG, world build, scoring, event loop).
+* **stages** — instrumented code times coarse stages as
+  ``stage.<name>.seconds`` histograms in the metrics registry
+  (``get_metrics().histogram("stage.world.build.seconds").time()``); the
+  report is a per-stage table (count, total, mean, share of profiled wall
+  time).  Stages answer "where does the run spend its time" at the
+  granularity the methodology cares about (world build, survey, scoring,
+  event loop).  Being ordinary histograms, they ship home from pool chunks
+  and socket heartbeats like every other metric, so the table is the same
+  whichever backend ran the cells.
 * **cProfile** — the standard deterministic profiler runs underneath and
   the report appends the top functions by cumulative time, for when the
   stage view points somewhere surprising.
@@ -24,47 +28,23 @@ import io
 import pstats
 import time
 
-__all__ = ["ProfileSession", "get_profile", "enable_profiling", "disable_profiling"]
+from .metrics import get_metrics
 
+__all__ = ["ProfileSession", "enable_profiling", "disable_profiling"]
 
-class _Section:
-    __slots__ = ("_session", "_name", "_start")
-
-    def __init__(self, session: "ProfileSession", name: str):
-        self._session = session
-        self._name = name
-
-    def __enter__(self) -> "_Section":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._session._record(self._name, time.perf_counter() - self._start)
-
-
-class _NullSection:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSection":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
-
-
-_NULL_SECTION = _NullSection()
+_STAGE_PREFIX, _STAGE_SUFFIX = "stage.", ".seconds"
 
 
 class ProfileSession:
-    """One profiled command: stage timers + a cProfile capture.
+    """One profiled command: a cProfile capture and its wall time.
 
     Use as a context manager (or call :meth:`start`/:meth:`stop`); render
-    the per-stage breakdown with :meth:`render` after stopping.
+    the report with :meth:`render` after stopping, while the metrics
+    registry that recorded the stages is still installed.
     """
 
     def __init__(self) -> None:
         self._profile = cProfile.Profile()
-        self._stages: dict[str, list] = {}  # name -> [count, total seconds]
         self._t0: float | None = None
         self.wall_seconds = 0.0
 
@@ -88,21 +68,23 @@ class ProfileSession:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    def section(self, name: str) -> _Section:
-        """Context manager timing one named stage."""
-        return _Section(self, name)
-
-    def _record(self, name: str, seconds: float) -> None:
-        entry = self._stages.setdefault(name, [0, 0.0])
-        entry[0] += 1
-        entry[1] += seconds
-
     def stage_rows(self) -> list[tuple]:
-        """``(stage, count, total s, mean s, share)`` rows, biggest first."""
-        total = self.wall_seconds or sum(t for _, t in self._stages.values()) or 1.0
+        """``(stage, count, total s, mean s, share)`` rows, biggest first.
+
+        Read from the active registry's ``stage.<name>.seconds``
+        histograms; ``share`` is the stage total over the profiled wall
+        time.
+        """
+        stages = {
+            name[len(_STAGE_PREFIX) : -len(_STAGE_SUFFIX)]: hist
+            for name, hist in get_metrics().snapshot()["histograms"].items()
+            if name.startswith(_STAGE_PREFIX) and name.endswith(_STAGE_SUFFIX)
+        }
+        total = self.wall_seconds or sum(h["sum"] for h in stages.values()) or 1.0
         rows = [
-            (name, count, seconds, seconds / count, seconds / total)
-            for name, (count, seconds) in self._stages.items()
+            (name, h["count"], h["sum"], h["sum"] / h["count"], h["sum"] / total)
+            for name, h in stages.items()
+            if h["count"]
         ]
         rows.sort(key=lambda r: r[2], reverse=True)
         return rows
@@ -112,12 +94,17 @@ class ProfileSession:
         from ..viz import format_table
 
         lines = [f"profiled wall time: {self.wall_seconds:.3f} s"]
-        if self._stages:
+        stage_rows = self.stage_rows()
+        if stage_rows:
             rows = [
                 (name, count, f"{total:.3f}", f"{mean * 1e3:.2f}", f"{share:.1%}")
-                for name, count, total, mean, share in self.stage_rows()
+                for name, count, total, mean, share in stage_rows
             ]
             lines.append("")
+            lines.append(
+                "stages (share = stage total / profiled wall time; stages nest, "
+                "and worker stages add up across workers)"
+            )
             lines.append(
                 format_table(
                     ("stage", "count", "total (s)", "mean (ms)", "share"), rows
@@ -132,20 +119,7 @@ class ProfileSession:
         return "\n".join(lines)
 
 
-class _NullProfile:
-    """No-op stand-in handed out while profiling is off."""
-
-    def section(self, name: str) -> _NullSection:
-        return _NULL_SECTION
-
-
-NULL_PROFILE = _NullProfile()
-_active = NULL_PROFILE
-
-
-def get_profile():
-    """The active :class:`ProfileSession`, or the no-op stand-in."""
-    return _active
+_active: ProfileSession | None = None
 
 
 def enable_profiling(session: ProfileSession | None = None) -> ProfileSession:
@@ -157,8 +131,8 @@ def enable_profiling(session: ProfileSession | None = None) -> ProfileSession:
 
 
 def disable_profiling() -> None:
-    """Stop any active session and restore the no-op stand-in."""
+    """Stop any active session."""
     global _active
-    if isinstance(_active, ProfileSession):
+    if _active is not None:
         _active.stop()
-    _active = NULL_PROFILE
+    _active = None

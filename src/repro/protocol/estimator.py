@@ -24,7 +24,7 @@ import numpy as np
 
 from ..field import BeaconField
 from ..geometry import as_point_array
-from ..obs import get_metrics, get_profile, get_tracer
+from ..obs import get_metrics, get_tracer
 from ..radio import PropagationRealization
 from .beacon_process import start_beacon_processes
 from .channel import RadioChannel
@@ -233,9 +233,10 @@ class ProtocolConnectivityEstimator:
             rng=rng,
             faults=faults,
         )
-        with get_profile().section("protocol.run"), get_tracer().span(
-            "protocol.run", clients=int(pts.shape[0]), beacons=len(field)
-        ):
+        with get_metrics().histogram("stage.protocol.run.seconds").time(), \
+                get_tracer().span(
+                    "protocol.run", clients=int(pts.shape[0]), beacons=len(field)
+                ):
             sim.run(until=self.listen_time)
             for tx in transmitters:
                 tx.stop()

@@ -4,8 +4,8 @@
 a :class:`CellExecutor` owns *where*:
 
 * :class:`SerialExecutor` — in-process, in order (the reference backend);
-* :class:`PoolExecutor` — local spawn pool with cell chunking and
-  completion-order collection under per-chunk deadlines;
+* :class:`PoolExecutor` — local spawn processes, one chunk of cells per
+  process at a time, collected as they finish under per-chunk deadlines;
 * :class:`SocketExecutor` — TCP server feeding ``beaconplace worker``
   processes on any machine (:mod:`repro.sim.executors.wire` documents the
   frame format).

@@ -28,7 +28,9 @@ from ...obs import (
     current_trace_context,
     disable_metrics,
     enable_metrics,
+    get_live,
     get_metrics,
+    get_tracer,
     process_metadata,
     set_trace_context,
     set_worker_id,
@@ -38,6 +40,7 @@ from ...obs import (
 __all__ = [
     "CellExecutor",
     "EmitFn",
+    "DispatchQueue",
     "ProgressFn",
     "batch_thunks",
     "cell_fn_ref",
@@ -323,9 +326,8 @@ def run_cell_chunk(payload: tuple) -> list[dict]:
     """Pool/worker entry point: run a chunk of cells, one outcome dict each.
 
     ``payload`` is ``(fn, args_list, instrument)`` or ``(fn, args_list,
-    instrument, extras)``.  Module-level and picklable, so
-    ``ProcessPoolExecutor`` ships it under the pinned ``spawn`` start
-    method; one pickled round-trip carries the whole chunk.  When ``fn``
+    instrument, extras)``.  A pool slot looks it up on this module for
+    every chunk it runs; one pickled round-trip carries the whole chunk.  When ``fn``
     has a registered batch planner the chunk is pre-computed in one
     vectorized pass and the per-cell loop just collects results — outcome
     shape, per-cell error attribution and instrument snapshots are
@@ -357,6 +359,94 @@ def run_cell_chunk(payload: tuple) -> list[dict]:
                 outcomes[0]["metrics"], chunk_metrics
             )
     return outcomes
+
+
+class DispatchQueue:
+    """Cells awaiting dispatch, and the settling of their outcomes.
+
+    The pool and socket executors' shared driver-side bookkeeping.  Each
+    queued cell carries the time it may next run: a failed cell is
+    requeued behind its backoff instead of the dispatch loop sleeping it
+    off, :meth:`take` skips cells still backing off, and
+    :meth:`wait_timeout` bounds the collect loop's wait, so one failed
+    chunk never stalls dispatch or collection of the others.
+    """
+
+    def __init__(self, pending: Sequence[tuple], *, policy, emit: EmitFn,
+                 instrument: bool):
+        self._cells = [(key, args, 1, 0.0) for key, args in pending]
+        self._policy = policy
+        self._emit = emit
+        self._instrument = instrument
+
+    def __bool__(self) -> bool:
+        return bool(self._cells)
+
+    def take(self, limit: int) -> list[tuple]:
+        """Up to ``limit`` ready ``(key, args, attempt)`` cells, in queue order."""
+        now = time.monotonic()
+        taken, waiting = [], []
+        for cell in self._cells:
+            if len(taken) < limit and cell[3] <= now:
+                taken.append(cell[:3])
+            else:
+                waiting.append(cell)
+        self._cells = waiting
+        return taken
+
+    def wait_timeout(self, deadlines) -> float | None:
+        """Seconds a collect loop may block: until the nearest of
+        ``deadlines`` (monotonic times or ``None``) or the next
+        backing-off cell's turn; ``None`` when neither is pending."""
+        now = time.monotonic()
+        wakeups = [d for d in deadlines if d is not None]
+        wakeups += [cell[3] for cell in self._cells if cell[3] > now]
+        return max(0.0, min(wakeups) - now) if wakeups else None
+
+    def fail(self, cell: tuple, error: str) -> None:
+        """Requeue ``(key, args, attempt)`` behind its backoff, or emit its failure."""
+        key, args, attempt = cell
+        if attempt < self._policy.max_attempts:
+            get_metrics().counter("sweep.cells.retried").inc()
+            not_before = time.monotonic() + self._policy.delay_before(attempt + 1)
+            self._cells.append((key, args, attempt + 1, not_before))
+        else:
+            self._emit(key, ok=False, attempts=attempt, error=error)
+
+    def put_back(self, cells: Sequence[tuple]) -> None:
+        """Return uncharged ``(key, args, attempt)`` cells to the front, ready now."""
+        self._cells[:0] = [(key, args, attempt, 0.0) for key, args, attempt in cells]
+
+    def settle(self, cell: tuple, outcome: dict, worker_id: str | None) -> None:
+        """Emit a returned :func:`run_one_cell` outcome, or :meth:`fail` it.
+
+        With instrumentation on, the outcome's metrics snapshot is merged
+        and its span written; ``worker_id`` names the worker in the live
+        ledger (``None``: unknown).
+        """
+        key, _, attempt = cell
+        if not outcome["ok"]:
+            self.fail(cell, outcome["error"])
+            return
+        if self._instrument:
+            get_metrics().merge(outcome["metrics"])
+            span = outcome.get("span")
+            if span is not None:
+                # Worker-built record: keep its identity/parent, stamp the
+                # driver-known attributes.
+                span.setdefault("attrs", {}).update(key=list(key), attempt=attempt)
+                get_tracer().write_span_record(span)
+            else:
+                get_tracer().record_span(
+                    "sweep.cell", outcome["seconds"], key=list(key), attempt=attempt
+                )
+        live = get_live()
+        live.cell_timing(key, outcome["seconds"], worker_id)
+        if worker_id is not None:
+            winfo = outcome.get("worker") or {}
+            live.worker_seen(worker_id, pid=winfo.get("pid"), host=winfo.get("host"))
+            live.worker_cell_done(worker_id)
+        self._emit(key, ok=True, value=outcome["value"], attempts=attempt)
 
 
 class CellExecutor(ABC):

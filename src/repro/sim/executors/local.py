@@ -1,22 +1,23 @@
-"""Local backends: in-process serial and the chunked spawn pool.
+"""Local backends: in-process serial and the spawn pool.
 
-``PoolExecutor`` replaces the old batch-ordered collection in
-``sim/resilient.py`` with a window of chunk futures collected as they
-complete (``concurrent.futures.wait(FIRST_COMPLETED)``) under per-chunk
-deadlines.  Two consequences:
+``PoolExecutor`` runs ``workers`` slots.  A slot is one spawn process with
+its own pipe, and it runs one chunk of ``chunk`` cells at a time; the
+driver collects from every pipe with ``multiprocessing.connection.wait``
+under per-chunk deadlines.  Because every chunk is pinned to a known
+process, a failure charges exactly its own chunk:
 
-* a stuck worker is detected within ``timeout × chunk`` of its own deadline
-  instead of up to ``workers × timeout`` after the whole batch is awaited;
-* one pickled round-trip ships ``chunk`` cells, amortizing submit/collect
-  overhead that dominates sweeps of small cells.
+* **death** — end-of-file on a slot's pipe charges that slot's chunk one
+  attempt (``sweep.cells.worker_death``) and respawns only that process;
+* **timeout** — a chunk past its deadline (``timeout × cells``) is charged
+  one attempt (``sweep.cells.timeout``), and only its process is killed
+  and respawned;
+* every other slot's chunk keeps running, untouched.
 
-Failure semantics match the legacy pool: a cell that raises is retried with
-backoff up to the policy budget; a timeout or worker death taints the whole
-pool, which is discarded and rebuilt, and outstanding cells that were *not*
-charged are requeued at their current attempt ("innocent").  When a worker
-dies or stalls mid-chunk the runtime cannot tell which cell was at fault,
-so every cell of the charged chunk spends one attempt — guaranteeing the
-poisonous cell exhausts its budget within ``max_attempts`` rebuilds.
+A process that dies or stalls mid-chunk does not say which cell was at
+fault, so every cell of its chunk spends one attempt — the poisonous cell
+exhausts its budget within ``max_attempts`` respawns.  A fresh process
+reports ready once it has started and imported the package, and gets its
+first chunk only then, so start-up never counts against a cell's timeout.
 """
 
 from __future__ import annotations
@@ -24,18 +25,19 @@ from __future__ import annotations
 import os
 import pickle
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait
+from multiprocessing.reduction import ForkingPickler
 from typing import Callable, Sequence
 
 from ...obs import get_live, get_metrics, get_tracer, metrics_enabled
+from . import base
 from .base import (
     CellExecutor,
+    DispatchQueue,
     EmitFn,
     ProgressFn,
     batch_thunks,
     dispatch_extras,
-    run_cell_chunk,
     spawn_context,
 )
 
@@ -118,24 +120,53 @@ def auto_chunk(cells: int, workers: int) -> int:
     return max(1, min(MAX_CHUNK, cells // (workers * 4)))
 
 
-class _Outstanding:
-    """One in-flight chunk future and its accounting."""
+def _slot_main(conn) -> None:
+    """One pool slot's process: report ready, then run chunks until stopped.
 
-    __slots__ = ("future", "cells", "order", "deadline")
+    The chunk entry point is looked up on :mod:`.base` for every chunk, so
+    a replacement installed on that module in this process takes effect.
+    An empty message (or a closed pipe) stops the process.
+    """
+    try:
+        conn.send(None)
+        while message := conn.recv_bytes():
+            try:
+                reply = ("ok", base.run_cell_chunk(pickle.loads(message)))
+                data = ForkingPickler.dumps(reply)
+            except Exception as exc:  # noqa: BLE001 — charged like a cell error
+                data = ForkingPickler.dumps(("error", f"{type(exc).__name__}: {exc}"))
+            conn.send_bytes(data)
+    except (EOFError, OSError, KeyboardInterrupt):
+        pass  # the driver closed the pipe or is shutting down
 
-    def __init__(self, future, cells, order, deadline):
-        self.future = future
-        self.cells = cells  # [(key, args, attempt), ...]
-        self.order = order
-        self.deadline = deadline
+
+class _Slot:
+    """One pool process, its pipe, and the chunk it is running."""
+
+    __slots__ = ("process", "conn", "ready", "cells", "deadline")
+
+    def __init__(self, ctx):
+        self.conn, child = ctx.Pipe()
+        # Daemonic, so no slot outlives the driver, even an unclosed one.
+        self.process = ctx.Process(target=_slot_main, args=(child,), daemon=True)
+        self.process.start()
+        child.close()
+        self.ready = False
+        self.cells: list | None = None  # [(key, args, attempt), ...]
+        self.deadline: float | None = None
+
+    def kill(self) -> None:
+        self.conn.close()
+        self.process.kill()
+        self.process.join()
 
 
 class PoolExecutor(CellExecutor):
-    """Spawn-pool backend: chunked submission, completion-order collection.
+    """Spawn-pool backend: one process per slot, one chunk per slot.
 
     Args:
-        workers: pool size.
-        chunk: cells per submitted chunk; ``None`` = :func:`auto_chunk`.
+        workers: slot (process) count.
+        chunk: cells per dispatched chunk; ``None`` = :func:`auto_chunk`.
         mp_context: multiprocessing context override (default: spawn).
     """
 
@@ -149,23 +180,27 @@ class PoolExecutor(CellExecutor):
         #: zero-copy instead of rebuilding them per process.
         self.shared_handle = None
         self._ctx = mp_context if mp_context is not None else spawn_context()
-        # The pool persists across execute() sessions — spawn start-up
-        # (workers re-import the package) is paid once per executor, not
-        # once per sweep, so a multi-panel figure reuses warm workers.
-        self._pool: ProcessPoolExecutor | None = None
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=self._ctx
-            )
-        return self._pool
+        # Slots persist across execute() sessions — spawn start-up (workers
+        # re-import the package) is paid once per executor, not once per
+        # sweep, so a multi-panel figure reuses warm workers.
+        self._slots: list[_Slot] = []
 
     def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+        """Stop every slot without waiting for it (idempotent).
+
+        An idle slot is sent a stop; a slot still running a chunk (an
+        interrupted ``execute``) is killed.
+        """
+        for slot in self._slots:
+            if slot.cells is None:
+                try:
+                    slot.conn.send_bytes(b"")
+                except OSError:
+                    pass  # already gone
+            else:
+                slot.process.kill()
+            slot.conn.close()
+        self._slots = []
 
     def execute(
         self,
@@ -178,157 +213,87 @@ class PoolExecutor(CellExecutor):
         fingerprint: str | None = None,
     ) -> None:
         metrics = get_metrics()
-        tracer = get_tracer()
         # With observability on, cells run under a worker-local registry
         # whose snapshot ships back with the value (see obs.run_one_cell);
         # the parent merges it so per-worker metrics aggregate into one
         # registry.
         instrument = metrics_enabled()
         chunk_size = self.chunk or auto_chunk(len(pending), self.workers)
-        queue: list[tuple] = [(key, args, 1) for key, args in pending]
-        self._ensure_pool()
-        outstanding: list[_Outstanding] = []
-        order = 0
+        queue = DispatchQueue(pending, policy=policy, emit=emit, instrument=instrument)
+        chunks = -(-len(pending) // chunk_size)
+        while len(self._slots) < min(self.workers, chunks):
+            self._slots.append(_Slot(self._ctx))
 
-        def submit_next():
-            nonlocal order
-            cells, rest = queue[:chunk_size], queue[chunk_size:]
-            queue[:] = rest
+        def dispatch(slot: _Slot, cells: list) -> None:
             payload = (
                 fn,
                 [args for _, args, _ in cells],
                 instrument,
                 dispatch_extras(shared=self.shared_handle),
             )
-            if instrument:
-                metrics.counter("executor.pool.bytes_shipped").inc(
-                    len(pickle.dumps(payload))
-                )
-            metrics.counter("executor.pool.batches").inc()
-            deadline = None
-            if policy.timeout is not None:
-                deadline = time.monotonic() + policy.timeout * len(cells)
-            outstanding.append(
-                _Outstanding(
-                    self._pool.submit(run_cell_chunk, payload), cells, order, deadline
-                )
-            )
-            order += 1
-
-        def fail_or_requeue(key, args, attempt, error):
-            if attempt < policy.max_attempts:
-                metrics.counter("sweep.cells.retried").inc()
-                policy.sleep_before(attempt + 1)
-                queue.append((key, args, attempt + 1))
-            else:
-                emit(key, ok=False, attempts=attempt, error=error)
-
-        def harvest(entry: _Outstanding) -> bool:
-            """Emit one completed chunk's outcomes; True if the pool broke."""
             try:
-                cell_outcomes = entry.future.result()
-            except BrokenProcessPool:
-                return True
-            except Exception as exc:  # noqa: BLE001 — chunk-level failure
-                # run_cell_chunk only raises on unpicklable results or
-                # executor internals; charge the chunk like a cell error.
-                for key, args, attempt in entry.cells:
-                    fail_or_requeue(key, args, attempt, f"{type(exc).__name__}: {exc}")
-                return False
-            live = get_live()
-            for (key, args, attempt), outcome in zip(entry.cells, cell_outcomes):
-                winfo = outcome.get("worker")
-                worker_id = winfo.get("worker") if winfo else None
-                if outcome["ok"]:
-                    value = outcome["value"]
-                    if instrument:
-                        metrics.merge(outcome["metrics"])
-                        span = outcome.get("span")
-                        if span is not None:
-                            # Worker-built record: keep its identity/parent,
-                            # stamp the driver-known attributes.
-                            span.setdefault("attrs", {}).update(
-                                key=list(key), attempt=attempt
-                            )
-                            tracer.write_span_record(span)
-                        else:
-                            tracer.record_span(
-                                "sweep.cell", outcome["seconds"],
-                                key=list(key), attempt=attempt,
-                            )
-                    live.cell_timing(key, outcome["seconds"], worker_id)
-                    if worker_id is not None:
-                        live.worker_seen(
-                            worker_id, pid=winfo.get("pid"), host=winfo.get("host")
-                        )
-                        live.worker_cell_done(worker_id)
-                    emit(key, ok=True, value=value, attempts=attempt)
-                else:
-                    fail_or_requeue(key, args, attempt, outcome["error"])
-            return False
-
-        def rebuild(charged: list[_Outstanding], error: str, counter: str):
-            """Charge ``charged`` chunks, requeue the rest innocent, new pool."""
-            innocent = 0
-            requeue_front: list[tuple] = []
-            for entry in outstanding:
-                if entry in charged:
-                    for key, args, attempt in entry.cells:
-                        metrics.counter(counter).inc()
-                        fail_or_requeue(key, args, attempt, error)
-                else:
-                    # The fault was not theirs; same attempt, ahead of the
-                    # queue so retried work finishes first.
-                    innocent += len(entry.cells)
-                    requeue_front.extend(entry.cells)
-            queue[:0] = requeue_front
-            outstanding.clear()
-            metrics.counter("sweep.pool.rebuilds").inc()
-            if innocent:
-                metrics.counter("sweep.cells.requeued_innocent").inc(innocent)
-                if progress is not None:
-                    progress(
-                        f"pool rebuilt; requeued {innocent} innocent "
-                        "chunk-mate(s) at their current attempt"
-                    )
-            self.close()
-            self._ensure_pool()
-
-        while queue or outstanding:
-            while queue and len(outstanding) < self.workers:
-                submit_next()
-            wait_for = None
+                data = ForkingPickler.dumps(payload)
+            except Exception as exc:  # noqa: BLE001 — e.g. an unpicklable fn
+                for cell in cells:
+                    queue.fail(cell, f"{type(exc).__name__}: {exc}")
+                return
+            if instrument:
+                metrics.counter("executor.pool.bytes_shipped").inc(len(data))
+            metrics.counter("executor.pool.batches").inc()
+            slot.cells = cells
             if policy.timeout is not None:
-                nearest = min(e.deadline for e in outstanding)
-                wait_for = max(0.0, nearest - time.monotonic())
-            done, _ = wait(
-                [e.future for e in outstanding],
-                timeout=wait_for,
-                return_when=FIRST_COMPLETED,
-            )
-            broke = False
-            harvested = []
-            for entry in sorted(outstanding, key=lambda e: e.order):
-                if entry.future in done:
-                    if harvest(entry):
-                        broke = True
-                    else:
-                        harvested.append(entry)
-            outstanding[:] = [e for e in outstanding if e not in harvested]
-            if broke:
-                # The runtime cannot tell which chunk killed the worker
-                # (every outstanding future raises BrokenProcessPool);
-                # charge the earliest-submitted one — it ran longest —
-                # and spare the rest.
-                charged = sorted(outstanding, key=lambda e: e.order)[:1]
-                rebuild(charged, "worker process died", "sweep.cells.worker_death")
-                continue
-            if policy.timeout is not None:
-                now = time.monotonic()
-                expired = [e for e in outstanding if e.deadline <= now]
-                if expired:
-                    rebuild(
-                        expired,
-                        f"timeout after {policy.timeout}s",
-                        "sweep.cells.timeout",
-                    )
+                slot.deadline = time.monotonic() + policy.timeout * len(cells)
+            try:
+                slot.conn.send_bytes(data)
+            except OSError:
+                pass  # the process is gone; its end-of-file charges the chunk
+
+        def respawn(slot: _Slot, error: str, counter: str) -> None:
+            """Replace ``slot``'s process and charge its chunk one attempt."""
+            slot.kill()
+            self._slots[self._slots.index(slot)] = _Slot(self._ctx)
+            for cell in slot.cells or ():
+                metrics.counter(counter).inc()
+                queue.fail(cell, error)
+
+        while queue or any(slot.cells is not None for slot in self._slots):
+            for slot in self._slots:
+                if slot.ready and slot.cells is None:
+                    cells = queue.take(chunk_size)
+                    if not cells:
+                        break
+                    dispatch(slot, cells)
+            wait_for = queue.wait_timeout(slot.deadline for slot in self._slots)
+            by_conn = {slot.conn: slot for slot in self._slots}
+            for conn in wait(list(by_conn), timeout=wait_for):
+                slot = by_conn[conn]
+                try:
+                    message = conn.recv()
+                except (EOFError, OSError):
+                    if not slot.ready:
+                        slot.kill()
+                        code = slot.process.exitcode
+                        raise RuntimeError(
+                            f"pool worker exited during start-up (exit code {code})"
+                        ) from None
+                    respawn(slot, "worker process died", "sweep.cells.worker_death")
+                    continue
+                if not slot.ready:
+                    slot.ready = True
+                    continue
+                cells = slot.cells
+                slot.cells = slot.deadline = None
+                status, body = message
+                if status == "ok":
+                    for cell, outcome in zip(cells, body):
+                        winfo = outcome.get("worker")
+                        queue.settle(cell, outcome, winfo and winfo.get("worker"))
+                else:
+                    # A chunk-level failure (unpicklable results, executor
+                    # internals): charge every cell like a cell error.
+                    for cell in cells:
+                        queue.fail(cell, body)
+            now = time.monotonic()
+            for slot in list(self._slots):
+                if slot.deadline is not None and slot.deadline <= now:
+                    respawn(slot, f"timeout after {policy.timeout}s", "sweep.cells.timeout")

@@ -39,13 +39,13 @@ from typing import Callable, Sequence
 from ...obs import (
     get_live,
     get_metrics,
-    get_tracer,
     metrics_enabled,
     process_metadata,
     set_worker_id,
 )
 from .base import (
     CellExecutor,
+    DispatchQueue,
     EmitFn,
     ProgressFn,
     apply_dispatch_extras,
@@ -203,26 +203,17 @@ class SocketExecutor(CellExecutor):
         if self._closed:
             raise RuntimeError("socket executor is closed")
         metrics = get_metrics()
-        tracer = get_tracer()
         instrument = metrics_enabled()
         fn_ref = cell_fn_ref(fn)
         fingerprint = fingerprint or f"adhoc:{fn_ref}"
         bytes_sent = metrics.counter("executor.socket.bytes_sent")
         bytes_received = metrics.counter("executor.socket.bytes_received")
-        queue: list[tuple] = [(key, args, 1) for key, args in pending]
+        queue = DispatchQueue(pending, policy=policy, emit=emit, instrument=instrument)
         ready: list[_Conn] = []  # welcomed, no batch assigned
         working: dict[int, _Conn] = {}  # batch id -> connection
         if progress is not None:
             host, port = self.address
-            progress(f"socket executor serving {len(queue)} cell(s) on {host}:{port}")
-
-        def fail_or_requeue(key, args, attempt, error):
-            if attempt < policy.max_attempts:
-                metrics.counter("sweep.cells.retried").inc()
-                policy.sleep_before(attempt + 1)
-                queue.append((key, args, attempt + 1))
-            else:
-                emit(key, ok=False, attempts=attempt, error=error)
+            progress(f"socket executor serving {len(pending)} cell(s) on {host}:{port}")
 
         def send(conn: _Conn, message: dict) -> bool:
             try:
@@ -232,9 +223,12 @@ class SocketExecutor(CellExecutor):
                 # The handler thread will surface the matching "gone".
                 return False
 
-        def assign(conn: _Conn) -> None:
-            cells, rest = queue[: self.chunk], queue[self.chunk :]
-            queue[:] = rest
+        def assign(conn: _Conn) -> bool:
+            """Ship ``conn`` a batch of ready cells; park it if none is ready."""
+            cells = queue.take(self.chunk)
+            if not cells:
+                ready.append(conn)
+                return False
             self._batch_seq += 1
             conn.batch_id = self._batch_seq
             conn.cells = cells
@@ -246,8 +240,7 @@ class SocketExecutor(CellExecutor):
             )
             working[conn.batch_id] = conn
             metrics.counter("executor.socket.batches").inc()
-            if cells:
-                get_live().worker_seen(conn.name, current=list(cells[0][0]))
+            get_live().worker_seen(conn.name, current=list(cells[0][0]))
             send(
                 conn,
                 {
@@ -259,6 +252,7 @@ class SocketExecutor(CellExecutor):
                     ],
                 },
             )
+            return True
 
         def release(conn: _Conn) -> None:
             if conn.batch_id is not None:
@@ -267,19 +261,15 @@ class SocketExecutor(CellExecutor):
 
         def fail_batch(conn: _Conn, cause: str, counter: str) -> None:
             """Charge the running cell; requeue unfinished batch-mates."""
-            charged = False
-            innocent = 0
-            for flag, (key, args, attempt) in zip(conn.done, conn.cells):
-                if flag:
-                    continue
-                if not charged:
-                    charged = True
-                    metrics.counter(counter).inc()
-                    fail_or_requeue(key, args, attempt, cause)
-                else:
-                    innocent += 1
-                    queue.insert(innocent - 1, (key, args, attempt))
-            if innocent:
+            unfinished = [
+                cell for flag, cell in zip(conn.done, conn.cells) if not flag
+            ]
+            if unfinished:
+                metrics.counter(counter).inc()
+                queue.fail(unfinished[0], cause)
+            queue.put_back(unfinished[1:])
+            innocent = len(unfinished) - 1
+            if innocent > 0:
                 metrics.counter("executor.socket.requeues").inc(innocent)
                 metrics.counter("sweep.cells.requeued_innocent").inc(innocent)
                 if progress is not None:
@@ -326,10 +316,7 @@ class SocketExecutor(CellExecutor):
                 })
                 if progress is not None:
                     progress(f"worker {conn.name} joined")
-                if queue:
-                    assign(conn)
-                else:
-                    ready.append(conn)
+                assign(conn)
             elif kind == "result":
                 owner = working.get(message.get("batch"))
                 if owner is not conn or owner is None:
@@ -340,39 +327,12 @@ class SocketExecutor(CellExecutor):
                 if conn.done[index]:
                     return
                 conn.done[index] = True
-                key, args, attempt = conn.cells[index]
-                outcome = decode_payload(message["outcome"])
-                live = get_live()
-                winfo = outcome.get("worker") or {}
-                if outcome["ok"]:
-                    value = outcome["value"]
-                    if instrument:
-                        metrics.merge(outcome["metrics"])
-                        span = outcome.get("span")
-                        if span is not None:
-                            span.setdefault("attrs", {}).update(
-                                key=list(key), attempt=attempt
-                            )
-                            tracer.write_span_record(span)
-                        else:
-                            tracer.record_span(
-                                "sweep.cell", outcome["seconds"],
-                                key=list(key), attempt=attempt,
-                            )
-                    live.cell_timing(key, outcome["seconds"], conn.name)
-                    live.worker_seen(
-                        conn.name, pid=winfo.get("pid"), host=winfo.get("host")
-                    )
-                    live.worker_cell_done(conn.name)
-                    emit(key, ok=True, value=value, attempts=attempt)
-                else:
-                    fail_or_requeue(key, args, attempt, outcome["error"])
+                queue.settle(
+                    conn.cells[index], decode_payload(message["outcome"]), conn.name
+                )
                 if all(conn.done):
                     release(conn)
-                    if queue:
-                        assign(conn)
-                    else:
-                        ready.append(conn)
+                    assign(conn)
             elif kind == "heartbeat":
                 # Receipt alone resets the handler's recv timeout.  New
                 # workers also attach a status payload (worker health for
@@ -416,12 +376,9 @@ class SocketExecutor(CellExecutor):
                     conn.sock.close()
 
         while queue or working:
-            while queue and ready:
-                assign(ready.pop())
-            wait_for = None
-            deadlines = [c.deadline for c in working.values() if c.deadline is not None]
-            if deadlines:
-                wait_for = max(0.0, min(deadlines) - time.monotonic())
+            while ready and assign(ready.pop()):
+                pass
+            wait_for = queue.wait_timeout(c.deadline for c in working.values())
             try:
                 kind, conn, payload, nbytes = self._events.get(timeout=wait_for)
             except queue_mod.Empty:

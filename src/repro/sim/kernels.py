@@ -44,7 +44,7 @@ from ..localization import (
     UnlocalizedPolicy,
     apply_unlocalized_policy,
 )
-from ..obs import get_metrics, get_profile
+from ..obs import get_metrics
 from ..radio.kernels import (
     batch_params_from_realization,
     batched_connectivity,
@@ -145,7 +145,7 @@ def warm_worlds(
             continue
         groups.setdefault(_world_group_key(world, params), (params, []))[1].append(world)
     warmed = 0
-    with get_profile().section("kernel.batch"):
+    with metrics.histogram("stage.kernel.batch.seconds").time():
         for (_, _, n_beacons, policy, terrain_side), (params, members) in groups.items():
             pts = members[0].points()
             per_trial = max(1, pts.shape[0] * max(n_beacons, 1))

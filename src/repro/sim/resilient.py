@@ -12,9 +12,11 @@ protection:
   fingerprint of (sweep kind, config, algorithms); resuming against a
   journal written for different parameters is refused loudly.
 * **Bounded retry with backoff** (:class:`RetryPolicy`) — a cell that
-  raises is retried up to ``max_attempts`` times with exponential backoff;
-  in pool mode a per-cell ``timeout`` additionally catches stuck workers
-  (the tainted pool is discarded and rebuilt, pending cells are requeued).
+  raises is retried up to ``max_attempts`` times with exponential backoff
+  (pool and socket backends park the cell until its backoff has passed
+  instead of sleeping); in pool mode a per-cell ``timeout`` additionally
+  catches stuck workers.  A worker that dies or times out charges exactly
+  its own chunk one attempt, and only its process is replaced.
 * **Degraded aggregation** — a cell that exhausts its retries degrades to
   NaN instead of aborting the sweep.  :meth:`Curve.from_samples` drops NaNs
   and records per-point sample coverage in ``Curve.meta["coverage"]``; the
@@ -114,10 +116,14 @@ class RetryPolicy:
         if self.backoff < 0:
             raise ValueError(f"backoff must be non-negative, got {self.backoff}")
 
+    def delay_before(self, attempt: int) -> float:
+        """Seconds to back off before retry ``attempt`` (2, 3, …)."""
+        return self.backoff * 2 ** (attempt - 2) if self.backoff > 0 else 0.0
+
     def sleep_before(self, attempt: int) -> None:
-        """Back off before retry ``attempt`` (2, 3, …)."""
+        """Back off before retry ``attempt`` (2, 3, …), in place."""
         if self.backoff > 0:
-            _time.sleep(self.backoff * 2 ** (attempt - 2))
+            _time.sleep(self.delay_before(attempt))
 
 
 def _canon_key(key) -> tuple:

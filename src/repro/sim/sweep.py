@@ -26,7 +26,7 @@ from typing import Callable
 
 from ..faults import FaultModel, apply_faults
 from ..field import random_uniform_field
-from ..obs import get_metrics, get_profile
+from ..obs import get_metrics
 from ..radio import BeaconNoiseModel, PropagationModel
 from .config import ExperimentConfig
 from .executors.cache import (
@@ -75,7 +75,7 @@ def build_world(
     it.  Surviving beacons keep their ids, so their propagation links are
     identical to the pristine world's.
     """
-    with get_profile().section("world.build"):
+    with get_metrics().histogram("stage.world.build.seconds").time():
         get_metrics().counter("sweep.worlds_built").inc()
 
         def build_field():

@@ -24,7 +24,6 @@ from repro.obs import (
     format_journal_summary,
     format_metrics_snapshot,
     get_metrics,
-    get_profile,
     get_tracer,
     inspect_journal,
     instrumented_call,
@@ -189,8 +188,9 @@ class TestNullDefaults:
             pass  # must be a no-op, no file anywhere
 
     def test_null_profile_sections_are_noops(self):
-        with get_profile().section("stage"):
+        with get_metrics().histogram("stage.stage.seconds").time():
             pass
+        assert get_metrics().snapshot()["histograms"] == {}
 
 
 class TestInstrumentedCall:
@@ -240,43 +240,53 @@ class TestWorkerMerge:
         assert registry.histogram("sweep.cell.seconds").count == 3
 
 
-def _die_or_wait(args):
-    if args == "die":
+def _die_or_outlast(args):
+    """A cell that dies, or one that is still running when the other dies.
+
+    ``("die", dir)`` waits until the healthy cell has started, then kills
+    its worker (every attempt); ``("ok", dir)`` announces itself and stays
+    in flight until the death has happened, so the death always lands
+    while the healthy chunk runs on another slot.  The 30 s caps are
+    failsafes only.
+    """
+    kind, directory = args
+    started = os.path.join(directory, "started")
+    died = os.path.join(directory, "died")
+    deadline = time.monotonic() + 30.0
+    if kind == "die":
+        while not os.path.exists(started) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        with open(died, "w"):
+            pass
         os._exit(1)
-    value, marker = args
-    if os.path.exists(marker):  # retried attempt, after the pool rebuild
-        return value * 3
-    # First attempt: leave a marker and stay in flight until the pool
-    # rebuild terminates this worker.  Any fixed sleep races — worker-death
-    # detection can be delayed arbitrarily on a loaded host, and this cell
-    # must still be outstanding when the pool breaks to be requeued as
-    # innocent.  The 600 s cap is a failsafe; the policy timeout rebuilds
-    # the pool long before it expires.
-    with open(marker, "w"):
+    with open(started, "w"):
         pass
-    time.sleep(600.0)
-    return value * 3
+    while not os.path.exists(died) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    time.sleep(0.2)  # outlast the dead worker's end-of-file on the driver
+    return 15
 
 
-class TestPoolRebuildSurfacing:
-    def test_innocent_requeues_counted_and_reported(self, tmp_path):
-        """A pool death surfaces how many batch-mates were requeued."""
+class TestPoolFailureSurfacing:
+    def test_death_leaves_other_slots_chunk_on_attempt_one(self, tmp_path):
+        """A worker death charges its own chunk only: the chunk in flight on
+        the other slot completes on its first attempt."""
         registry = enable_metrics()
-        marker = tmp_path / "attempted"
-        messages = []
-        results = run_cells(
-            [(("die",), "die"), (("ok",), (5, str(marker)))],
-            _die_or_wait,
-            workers=2,
-            policy=RetryPolicy(max_attempts=2, timeout=60.0, backoff=0.0),
-            progress=messages.append,
-        )
-        assert results[("die",)] is None
-        assert results[("ok",)] == 15
-        assert registry.counter("sweep.pool.rebuilds").value >= 1
-        assert registry.counter("sweep.cells.requeued_innocent").value >= 1
-        assert registry.counter("sweep.cells.worker_death").value >= 1
-        assert any("innocent" in m for m in messages)
+        path = tmp_path / "j.jsonl"
+        with SweepJournal.open(path, "fp") as journal:
+            results = run_cells(
+                [(("die",), ("die", str(tmp_path))), (("ok",), ("ok", str(tmp_path)))],
+                _die_or_outlast,
+                workers=2,
+                policy=RetryPolicy(max_attempts=2, timeout=30.0, backoff=0.0),
+                journal=journal,
+            )
+            assert journal.entry(("ok",))["attempts"] == 1
+            assert journal.entry(("die",))["attempts"] == 2
+        assert results == {("die",): None, ("ok",): 15}
+        assert registry.counter("sweep.cells.worker_death").value == 2
+        assert registry.counter("sweep.cells.retried").value == 1
+        assert registry.counter("sweep.cells.timeout").value == 0
 
 
 class TestTracer:
@@ -384,13 +394,18 @@ class TestTracer:
 
 
 class TestProfileSession:
+    @staticmethod
+    def _section(name):
+        return get_metrics().histogram(f"stage.{name}.seconds").time()
+
     def test_sections_and_render(self):
+        enable_metrics()
         with ProfileSession() as session:
-            with session.section("stage.a"):
+            with self._section("stage.a"):
                 sum(range(1000))
-            with session.section("stage.a"):
+            with self._section("stage.a"):
                 pass
-            with session.section("stage.b"):
+            with self._section("stage.b"):
                 pass
         rows = {name: count for name, count, *_ in session.stage_rows()}
         assert rows == {"stage.a": 2, "stage.b": 1}
@@ -398,6 +413,17 @@ class TestProfileSession:
         assert "stage.a" in report
         assert "cumulative" in report
         assert session.wall_seconds > 0.0
+
+    def test_pool_stages_reach_the_table(self, capsys):
+        """Stages timed inside pool workers ship home with the metrics."""
+        from repro.cli import main
+
+        argv = ["--fields", "1", "--counts", "8", "--workers", "2", "--profile"]
+        assert main(argv + ["reproduce", "fig5"]) == 0
+        out = capsys.readouterr().out
+        table = out[out.index("stages (share"):out.index("top 15 functions")]
+        for stage in ("world.build", "trial.survey", "placement.propose"):
+            assert stage in table
 
 
 class TestSummaries:
@@ -432,7 +458,7 @@ class TestSummaries:
             get_metrics().counter("demo").inc()
             with get_tracer().span("demo.span"):
                 pass
-            with get_profile().section("demo.stage"):
+            with get_metrics().histogram("stage.demo.stage.seconds").time():
                 pass
         assert not metrics_enabled()
         snapshot = json.loads((run_dir / "metrics.json").read_text())

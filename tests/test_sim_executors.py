@@ -403,6 +403,87 @@ class TestPoolChunking:
         assert coarse == fine == {(i,): i * 2 for i in range(7)}
 
 
+def _sleep_or_die(args):
+    if args == "die":
+        os._exit(1)
+    time.sleep(0.5)
+    return args
+
+
+def _fail_first_attempt(args):
+    directory, index, kind = args
+    if kind == "flaky":
+        marker = os.path.join(directory, f"tried-{index}")
+        if not os.path.exists(marker):
+            with open(marker, "w"):
+                pass
+            raise RuntimeError("first attempt fails")
+    else:
+        time.sleep(0.1)
+    return index
+
+
+def _pid(args):
+    return os.getpid()
+
+
+class TestPoolFailureAttribution:
+    def test_slots_reused_across_sessions_and_stopped_by_close(self):
+        jobs = [((i,), i) for i in range(4)]
+        pool = PoolExecutor(workers=2, chunk=1)
+        run_cells(jobs, _pid, executor=pool)
+        processes = [slot.process for slot in pool._slots]
+        again = run_cells(jobs, _pid, executor=pool)
+        assert set(again.values()) <= {process.pid for process in processes}
+        pool.close()
+        for process in processes:
+            process.join(30.0)
+            assert process.exitcode == 0  # stopped, not killed
+
+    def test_death_charges_only_its_own_chunk(self, tmp_path):
+        """Eight healthy cells and one that kills its worker, on three
+        slots: every healthy cell succeeds on its first attempt and the
+        dying cell is charged exactly its two attempts."""
+        registry = enable_metrics()
+        jobs = [((f"h{i}",), f"h{i}") for i in range(8)] + [(("die",), "die")]
+        try:
+            with PoolExecutor(workers=3, chunk=1) as pool, \
+                    SweepJournal.open(tmp_path / "j.jsonl", "fp") as journal:
+                results = run_cells(
+                    jobs, _sleep_or_die, executor=pool, journal=journal,
+                    policy=RetryPolicy(max_attempts=2, timeout=30.0, backoff=0.0),
+                )
+                attempts = {key: journal.entry(key)["attempts"] for key, _ in jobs}
+        finally:
+            disable_metrics()
+        assert results == {**{(f"h{i}",): f"h{i}" for i in range(8)}, ("die",): None}
+        assert attempts == {**{(f"h{i}",): 1 for i in range(8)}, ("die",): 2}
+        assert registry.counter("sweep.cells.worker_death").value == 2
+
+    def test_backoff_does_not_stall_other_chunks(self, tmp_path):
+        """A failed chunk's retries wait out their backoff off the collect
+        loop: a 0.5 s backoff adds about that much, not 0.5 s per cell."""
+        def sweep(backoff, name):
+            directory = tmp_path / name
+            directory.mkdir()
+            jobs = [((i,), (str(directory), i, "flaky")) for i in range(8)]
+            jobs += [((i,), (str(directory), i, "slow")) for i in range(8, 32)]
+            start = time.monotonic()
+            results = run_cells(
+                jobs, _fail_first_attempt, executor=pool,
+                policy=RetryPolicy(max_attempts=2, backoff=backoff),
+            )
+            assert results == {(i,): i for i in range(32)}
+            return time.monotonic() - start
+
+        with PoolExecutor(workers=2, chunk=8) as pool:
+            # Spawn both slots outside the timings.
+            run_cells([((i,), i) for i in range(16)], _double, executor=pool)
+            instant = sweep(0.0, "instant")
+            backed_off = sweep(0.5, "backed-off")
+        assert backed_off - instant < 1.0
+
+
 class TestSerialPlanningCap:
     """The serial executor plans at most MAX_CHUNK cells per kernel pass."""
 
