@@ -39,8 +39,8 @@ from ...obs import (
 
 __all__ = [
     "CellExecutor",
-    "EmitFn",
     "DispatchQueue",
+    "EmitFn",
     "ProgressFn",
     "batch_thunks",
     "cell_fn_ref",
@@ -327,10 +327,10 @@ def run_cell_chunk(payload: tuple) -> list[dict]:
 
     ``payload`` is ``(fn, args_list, instrument)`` or ``(fn, args_list,
     instrument, extras)``.  A pool slot looks it up on this module for
-    every chunk it runs; one pickled round-trip carries the whole chunk.  When ``fn``
-    has a registered batch planner the chunk is pre-computed in one
-    vectorized pass and the per-cell loop just collects results — outcome
-    shape, per-cell error attribution and instrument snapshots are
+    every chunk it runs; one pickled round-trip carries the whole chunk.
+    When ``fn`` has a registered batch planner the chunk is pre-computed in
+    one vectorized pass and the per-cell loop just collects results —
+    outcome shape, per-cell error attribution and instrument snapshots are
     identical either way.
     """
     fn, args_list, instrument = payload[0], payload[1], payload[2]

@@ -427,6 +427,21 @@ def _pid(args):
     return os.getpid()
 
 
+def _exit_at_start(conn):
+    os._exit(3)
+
+
+class _DeadOnArrival:
+    """A spawn context whose processes exit before reporting ready."""
+
+    def __init__(self):
+        self._spawn = spawn_context()
+        self.Pipe = self._spawn.Pipe
+
+    def Process(self, *, target, args, daemon):
+        return self._spawn.Process(target=_exit_at_start, args=args, daemon=daemon)
+
+
 class TestPoolFailureAttribution:
     def test_slots_reused_across_sessions_and_stopped_by_close(self):
         jobs = [((i,), i) for i in range(4)]
@@ -439,6 +454,11 @@ class TestPoolFailureAttribution:
         for process in processes:
             process.join(30.0)
             assert process.exitcode == 0  # stopped, not killed
+
+    def test_start_up_death_is_an_error_not_a_respawn_loop(self):
+        with PoolExecutor(workers=1, mp_context=_DeadOnArrival()) as pool:
+            with pytest.raises(RuntimeError, match=r"start-up \(exit code 3\)"):
+                run_cells([((0,), 0)], _double, executor=pool)
 
     def test_death_charges_only_its_own_chunk(self, tmp_path):
         """Eight healthy cells and one that kills its worker, on three
