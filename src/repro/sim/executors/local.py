@@ -256,13 +256,17 @@ class PoolExecutor(CellExecutor):
                 metrics.counter(counter).inc()
                 queue.fail(cell, error)
 
-        while queue or any(slot.cells is not None for slot in self._slots):
+        def fill_idle_slots() -> None:
             for slot in self._slots:
-                if slot.ready and slot.cells is None:
-                    cells = queue.take(chunk_size)
-                    if not cells:
-                        break
+                # A chunk that fails to pickle leaves its slot idle and its
+                # cells requeued, so keep offering that slot ready cells.
+                while slot.ready and slot.cells is None and (
+                    cells := queue.take(chunk_size)
+                ):
                     dispatch(slot, cells)
+
+        fill_idle_slots()
+        while queue or any(slot.cells is not None for slot in self._slots):
             wait_for = queue.wait_timeout(slot.deadline for slot in self._slots)
             by_conn = {slot.conn: slot for slot in self._slots}
             for conn in wait(list(by_conn), timeout=wait_for):
@@ -297,3 +301,4 @@ class PoolExecutor(CellExecutor):
             for slot in list(self._slots):
                 if slot.deadline is not None and slot.deadline <= now:
                     respawn(slot, f"timeout after {policy.timeout}s", "sweep.cells.timeout")
+            fill_idle_slots()

@@ -460,6 +460,14 @@ class TestPoolFailureAttribution:
             with pytest.raises(RuntimeError, match=r"start-up \(exit code 3\)"):
                 run_cells([((0,), 0)], _double, executor=pool)
 
+    def test_unpicklable_cell_fn_degrades_every_cell(self):
+        with PoolExecutor(workers=1, chunk=2) as pool:
+            results = run_cells(
+                [((i,), i) for i in range(3)], lambda x: x, executor=pool,
+                policy=RetryPolicy(max_attempts=2, backoff=0.0),
+            )
+        assert results == {(0,): None, (1,): None, (2,): None}
+
     def test_death_charges_only_its_own_chunk(self, tmp_path):
         """Eight healthy cells and one that kills its worker, on three
         slots: every healthy cell succeeds on its first attempt and the
