@@ -276,6 +276,7 @@ class PoolExecutor(CellExecutor):
                 except (EOFError, OSError):
                     if not slot.ready:
                         slot.kill()
+                        self._slots.remove(slot)
                         code = slot.process.exitcode
                         raise RuntimeError(
                             f"pool worker exited during start-up (exit code {code})"
